@@ -21,9 +21,6 @@
 //! scaling options:
 //!   --kernel K        kernel(s) for BENCH_scaling.json: bfs (default),
 //!                     pagerank, sssp, msbfs, betweenness, or all
-//!   --simd {0,1}      also sweep the SIMD backend axis: measure each
-//!                     point under the scalar backend and the best
-//!                     detected one (default 0: current backend only)
 //!
 //! frontier options:
 //!   --adaptive {0,1}  include the adaptive sweep axis (default 1)
@@ -88,12 +85,13 @@ fn print_help() {
     println!(
         "options: --scale-log2 N  --rho X  --seed S  --runs K  --scale-shift N  --results-dir D"
     );
-    println!("scaling only: --kernel {{bfs|pagerank|sssp|msbfs|betweenness|all}}  --simd {{0|1}}");
+    println!("scaling only: --kernel {{bfs|pagerank|sssp|msbfs|betweenness|all}}");
     println!("frontier: sweeps scales 10..=--scale-log2 (full vs worklist vs adaptive;");
     println!("          --adaptive 0 drops the adaptive axis)");
     println!("serve: batched BFS query engine load test; --queries N per point (default 64),");
     println!("       batch window via SLIMSELL_BATCH_WINDOW_US (default 200);");
     println!("       overload sweep: --deadline-us N (default 2000, 0 = none), --retries N");
     println!("       (default 2, jittered backoff); restart budget via SLIMSELL_MAX_RESTARTS");
-    println!("see DESIGN.md section 4 for the experiment-to-paper mapping");
+    println!("tableN/figN regenerate the paper's Table N/Fig. N; prep, bounds, scaling,");
+    println!("frontier, masked, serve and ablate go beyond the paper");
 }

@@ -149,10 +149,9 @@ macro_rules! prep_c {
 }
 
 /// Builds a matrix for `(C, σ, representation, semiring)` and returns a
-/// reusable runner, or [`UnsupportedLanes`] when `c` is not a lane count
-/// the SIMD backends implement (4/8/16/32) — the same error the lane
-/// dispatcher itself reports, so callers can surface one message for
-/// both layers.
+/// reusable runner, or [`UnsupportedLanes`] when `c` is not a supported
+/// lane count (4/8/16/32) — the same error the lane dispatcher itself
+/// reports, so callers can surface one message for both layers.
 pub fn try_prepare(
     g: &CsrGraph,
     c: usize,

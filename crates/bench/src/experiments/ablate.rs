@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices DESIGN.md calls out:
+//! Ablation studies of SlimSell's design choices:
 //!
 //! * **tile width** — SlimChunk's only parameter (§III-D leaves it to
 //!   "the dynamic nature of the partial chunk allocation"; we sweep it);

@@ -1,5 +1,7 @@
-//! One module per paper experiment. DESIGN.md §4 maps each to its table
-//! or figure; EXPERIMENTS.md records paper-vs-measured outcomes.
+//! One module per paper experiment, named after its table or figure
+//! (`tables::table3` is Table III, `fig5` holds Figs. 5a–d). `prep`,
+//! `bounds`, `scaling`, `frontier`, `masked`, `serve` and `ablate` go
+//! beyond the paper.
 
 pub mod ablate;
 pub mod bounds;

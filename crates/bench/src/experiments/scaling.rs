@@ -13,14 +13,6 @@
 //! `betweenness`, or `all`. All five ride the shared chunk tiling of
 //! `slimsell_core::tiling`, so the same sweep tracks their multicore
 //! trajectories.
-//!
-//! The `--simd {0,1}` axis (default 0) additionally sweeps the explicit
-//! SIMD backend: each (kernel, semiring, threads, scale) point is
-//! measured once under the scalar backend and once under the best
-//! runtime-detected one, with a `"simd"` label per point — the
-//! scalar-vs-vectorized ns-per-arc comparison of the chunk-MV kernel.
-//! Without it, points carry the label of whatever backend is active
-//! (the `SLIMSELL_SIMD` resolution).
 
 use slimsell_analysis::report::TextTable;
 use slimsell_core::{
@@ -30,7 +22,6 @@ use slimsell_core::{
 use slimsell_graph::stats::sample_roots;
 use slimsell_graph::weighted::synthetic_weighted_twin;
 use slimsell_graph::{CsrGraph, VertexId};
-use slimsell_simd::{active_backend, detect_best, set_backend, Backend};
 
 use crate::dispatch::{prepare, RepKind, SemiringKind};
 use crate::harness::{mean_time, median_time, ExpContext};
@@ -144,16 +135,6 @@ fn bench_json(ctx: &ExpContext) -> Result<(), String> {
     let runs = ctx.runs();
     let threads_list = thread_points();
     let kernels = kernel_list(ctx)?;
-    // --simd 1 sweeps scalar vs the best detected backend per point;
-    // otherwise every point runs (and is labeled) under the backend the
-    // SLIMSELL_SIMD resolution already made active.
-    let simd_axis = ctx.args.get("simd", 0u32) != 0;
-    let auto = detect_best();
-    let legs: Vec<(&'static str, Option<Backend>)> = if simd_axis {
-        vec![(Backend::Scalar.name(), Some(Backend::Scalar)), (auto.name(), Some(auto))]
-    } else {
-        vec![(active_backend().name(), None)]
-    };
     let mut points = String::new();
     for &scale in &scales {
         let g = kron_at(scale, ctx.rho(), ctx.seed());
@@ -161,31 +142,21 @@ fn bench_json(ctx: &ExpContext) -> Result<(), String> {
         let arcs = g.num_arcs() as f64;
         for &kernel in &kernels {
             for (semiring, runner) in kernel_configs(&g, root, kernel) {
-                for &(simd, backend) in &legs {
-                    let prev = backend.map(set_backend);
-                    // The 1-thread speedup baseline is per (kernel,
-                    // semiring, simd) leg: backend switches change the
-                    // absolute time, not what "perfect scaling" means.
-                    let mut t1 = None;
-                    for &threads in &threads_list {
-                        let secs = with_pool(threads, || median_time(runs, &runner));
-                        let base = *t1.get_or_insert(secs);
-                        if !points.is_empty() {
-                            points.push_str(",\n");
-                        }
-                        points.push_str(&format!(
-                            "    {{\"threads\": {threads}, \"scale_log2\": {scale}, \
-                             \"kernel\": \"{kernel}\", \"semiring\": \"{semiring}\", \
-                             \"simd\": \"{simd}\", \
-                             \"median_s\": {secs:.6}, \"median_ns_per_edge\": {:.3}, \
-                             \"speedup_vs_1t\": {:.3}}}",
-                            secs * 1e9 / arcs,
-                            base / secs,
-                        ));
+                let mut t1 = None;
+                for &threads in &threads_list {
+                    let secs = with_pool(threads, || median_time(runs, &runner));
+                    let base = *t1.get_or_insert(secs);
+                    if !points.is_empty() {
+                        points.push_str(",\n");
                     }
-                    if let Some(p) = prev {
-                        set_backend(p);
-                    }
+                    points.push_str(&format!(
+                        "    {{\"threads\": {threads}, \"scale_log2\": {scale}, \
+                         \"kernel\": \"{kernel}\", \"semiring\": \"{semiring}\", \
+                         \"median_s\": {secs:.6}, \"median_ns_per_edge\": {:.3}, \
+                         \"speedup_vs_1t\": {:.3}}}",
+                        secs * 1e9 / arcs,
+                        base / secs,
+                    ));
                 }
             }
         }
@@ -194,14 +165,13 @@ fn bench_json(ctx: &ExpContext) -> Result<(), String> {
     let json = format!(
         "{{\n  \"bench\": \"scaling\",\n  \"representation\": \"SlimSell\",\n  \
          \"lanes\": 8,\n  \"host_parallelism\": {host},\n  \"runs\": {runs},\n  \
-         \"rho\": {},\n  \"seed\": {},\n  \"simd_auto\": \"{}\",\n  \
+         \"rho\": {},\n  \"seed\": {},\n  \
          \"unit\": \"median ns per stored arc per kernel run\",\n  \
          \"note\": \"speedup_vs_1t is bounded by host_parallelism; on a 1-CPU host \
          threads time-share one core and ~1.0 is the honest ceiling\",\n  \
          \"points\": [\n{points}\n  ]\n}}\n",
         ctx.rho(),
         ctx.seed(),
-        auto.name(),
     );
     ctx.emit_raw("BENCH_scaling.json", &json);
     Ok(())

@@ -2,11 +2,11 @@
 //!
 //! The `repro` binary (`cargo run --release -p slimsell-bench --bin
 //! repro -- <experiment>`) regenerates the rows/series of each
-//! experiment; [`experiments`] holds one module per table/figure and
-//! DESIGN.md §4 maps them back to the paper. [`dispatch`] turns runtime
-//! configuration (C, σ, representation, semiring) into calls of the
-//! const-generic engines; [`harness`] provides argument parsing, timing
-//! and CSV emission.
+//! experiment; [`experiments`] holds one module per table/figure, named
+//! after it (`table3` is Table III, `fig5a` is Fig. 5a). [`dispatch`]
+//! turns runtime configuration (C, σ, representation, semiring) into
+//! calls of the const-generic engines; [`harness`] provides argument
+//! parsing, timing and CSV emission.
 
 pub mod dispatch;
 pub mod experiments;

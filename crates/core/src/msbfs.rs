@@ -192,12 +192,9 @@ where
     // order is unchanged (ascending `k`), keeping outputs bit-identical
     // to the row-major walk.
     // The `B` source lanes of a row are contiguous, so the min-plus
-    // fold is a plain fixed-trip lane loop the compiler autovectorizes
-    // directly — deliberately NOT the `SimdF32` primitives here: their
-    // per-op runtime backend dispatch is a non-inlinable call, and at
-    // one dispatch per gathered operand it costs more than the vector
-    // instructions it selects (the single-source engine solved the
-    // same problem with whole-chunk backend kernels).
+    // fold is a plain fixed-trip lane loop over `B` that the compiler
+    // vectorizes directly. (The `SimdF32` primitives are `C`-lane
+    // vectors across rows; here the vector axis is the batch.)
     let (cs, cl, col) = (s.cs(), s.cl(), s.col());
     let (start, steps) = (cs[i], cl[i] as usize);
     let mut acc = [[0.0f32; B]; C];

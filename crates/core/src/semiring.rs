@@ -56,10 +56,9 @@ pub fn slice_bits_differ(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// Per-lane form of [`slice_bits_differ`] over one chunk's `C` lanes:
-/// bit `l` is set iff lane `l` differs bit-wise. Computed with the same
-/// SIMD compare the backends implement explicitly
-/// ([`SimdF32::ne_bits`]), so the mask is exactly the set of lanes a
-/// bit-exact change detector would flag.
+/// bit `l` is set iff lane `l` differs bit-wise. Computed with the
+/// vector primitive [`SimdF32::ne_bits`], so the mask is exactly the set
+/// of lanes a bit-exact change detector would flag.
 #[inline]
 pub fn lanes_ne_bits<const C: usize>(a: &[f32], b: &[f32]) -> u32 {
     SimdF32::<C>::load(a).ne_bits(SimdF32::load(b))

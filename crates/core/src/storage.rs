@@ -12,9 +12,8 @@
 //!
 //! Note: the paper's table prints Sell-C-σ as `4m + 2n/C + P`, counting
 //! the padding once even though padding occupies a cell in *both* `val`
-//! and `col`; we report the actual cell counts (`2P`) and flag the
-//! difference in EXPERIMENTS.md. The SlimSell < AL condition, Eq. (3),
-//! is unaffected.
+//! and `col`; we report the actual cell counts (`2P`). The SlimSell < AL
+//! condition, Eq. (3), is unaffected.
 
 use slimsell_graph::CsrGraph;
 

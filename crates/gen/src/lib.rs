@@ -11,8 +11,8 @@
 //!   purchase network, a road network) — the original SNAP datasets are
 //!   not redistributable here, so [`realworld`] provides deterministic
 //!   synthetic *stand-ins* matched on (n, m, ρ̄) and qualitative structure
-//!   (degree skew, diameter regime); see DESIGN.md §3 for the
-//!   substitution rationale.
+//!   (degree skew, diameter regime) — the two properties that drive
+//!   the paper's findings on those datasets.
 //!
 //! Additional generators ([`ba`], [`geometric`], [`smallworld`],
 //! [`config_model`]) are the building blocks of the stand-ins.

@@ -9,7 +9,7 @@
 //! * diameter regime — drives the iteration count and the §IV-A5 finding
 //!   that high-D/low-ρ̄ graphs (amz, rca) gain little from SlimWork.
 //!
-//! Structures used per category (see DESIGN.md §3):
+//! Structures used per category:
 //! * social networks / community graphs → Kronecker (R-MAT) skew, low D;
 //! * web graphs, moderate D (`gog`, `sta`) → erased configuration model
 //!   with a truncated power law;

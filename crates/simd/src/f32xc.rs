@@ -1,12 +1,14 @@
 //! `f32` vectors of `C` lanes: the `V` type of the paper's Listing 1.
 //!
 //! All BFS semiring values are `f32`, mirroring the paper's use of the
-//! `_mm256_*_ps` instruction family (Listing 2). Every operation below
-//! first consults the runtime-selected explicit-SIMD backend
-//! ([`crate::backend`]) and falls back to a portable fixed-trip-count
-//! lane loop — bit-identical by contract — when the backend is scalar,
-//! the host is not x86-64, or the operation must take the panicking
-//! bounds-check path.
+//! `_mm256_*_ps` instruction family (Listing 2). Every operation below is
+//! a fixed-trip-count lane loop that inlines into the calling kernel,
+//! where the compiler vectorizes it together with its neighbours.
+//!
+//! The engines rely on three IEEE-754 behaviours, pinned lane by lane by
+//! `tests/proptest_ops.rs`: `min` of `-0.0` and `+0.0` matches
+//! `f32::min` bit for bit, a `-0.0` `BLEND` mask lane selects `a`, and
+//! NaN operands of `min`/`max` behave as in `f32::min`/`f32::max`.
 
 use crate::i32xc::SimdI32;
 
@@ -56,10 +58,6 @@ impl<const C: usize> SimdF32<C> {
     /// Panics if `src.len() < C`.
     #[inline(always)]
     pub fn load(src: &[f32]) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::copy(src) {
-            return Self(out);
-        }
         let mut out = [0.0f32; C];
         out.copy_from_slice(&src[..C]);
         Self(out)
@@ -71,10 +69,6 @@ impl<const C: usize> SimdF32<C> {
     /// Panics if `dst.len() < C`.
     #[inline(always)]
     pub fn store(self, dst: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::x86::store(&self.0, dst).is_some() {
-            return;
-        }
         dst[..C].copy_from_slice(&self.0);
     }
 
@@ -87,10 +81,6 @@ impl<const C: usize> SimdF32<C> {
     /// `f[-1]`, hence the explicit default.
     #[inline(always)]
     pub fn gather_or(values: &[f32], idx: SimdI32<C>, default: f32) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::gather_or(values, &idx.0, default) {
-            return Self(out);
-        }
         let mut out = [0.0f32; C];
         for i in 0..C {
             let j = idx.0[i];
@@ -102,70 +92,42 @@ impl<const C: usize> SimdF32<C> {
     /// `CMP(a, b, EQ)`: numeric mask, `1.0` where equal else `0.0`.
     #[inline(always)]
     pub fn cmp_eq(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::cmp_eq(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| if self.0[i] == other.0[i] { 1.0 } else { 0.0 })
     }
 
     /// `CMP(a, b, NEQ)`: numeric mask, `1.0` where different else `0.0`.
     #[inline(always)]
     pub fn cmp_neq(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::cmp_neq(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| if self.0[i] != other.0[i] { 1.0 } else { 0.0 })
     }
 
     /// `BLEND(a, b, mask)`: `out[i] = mask[i] != 0 ? b[i] : a[i]`.
     #[inline(always)]
     pub fn blend(a: Self, b: Self, mask: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::blend(&a.0, &b.0, &mask.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| if mask.0[i] != 0.0 { b.0[i] } else { a.0[i] })
     }
 
     /// Element-wise minimum (`MIN`). NaN handling follows `f32::min`.
     #[inline(always)]
     pub fn min(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::min(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i].min(other.0[i]))
     }
 
     /// Element-wise maximum (`MAX`).
     #[inline(always)]
     pub fn max(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::max(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i].max(other.0[i]))
     }
 
     /// Element-wise addition (`ADD`).
     #[inline(always)]
     pub fn add(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::add(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i] + other.0[i])
     }
 
     /// Element-wise multiplication (`MUL`).
     #[inline(always)]
     pub fn mul(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::mul(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i] * other.0[i])
     }
 
@@ -173,10 +135,6 @@ impl<const C: usize> SimdF32<C> {
     /// restricted to {0.0, 1.0} this is logical AND.
     #[inline(always)]
     pub fn and_bits(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::and_bits(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| f32::from_bits(self.0[i].to_bits() & other.0[i].to_bits()))
     }
 
@@ -184,10 +142,6 @@ impl<const C: usize> SimdF32<C> {
     /// restricted to {0.0, 1.0} this is logical OR.
     #[inline(always)]
     pub fn or_bits(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::or_bits(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| f32::from_bits(self.0[i].to_bits() | other.0[i].to_bits()))
     }
 
@@ -207,10 +161,6 @@ impl<const C: usize> SimdF32<C> {
     /// True if any lane is non-zero.
     #[inline(always)]
     pub fn any_nonzero(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::any_ne(&self.0, &[0.0f32; C]) {
-            return out;
-        }
         let mut acc = false;
         for i in 0..C {
             acc |= self.0[i] != 0.0;
@@ -222,10 +172,6 @@ impl<const C: usize> SimdF32<C> {
     /// detection in the tropical semiring).
     #[inline(always)]
     pub fn any_ne(self, other: Self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::any_ne(&self.0, &other.0) {
-            return out;
-        }
         let mut acc = false;
         for i in 0..C {
             acc |= self.0[i] != other.0[i];
@@ -242,10 +188,6 @@ impl<const C: usize> SimdF32<C> {
     /// masks that filter worklist activation.
     #[inline(always)]
     pub fn ne_bits(self, other: Self) -> u32 {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::ne_bits(&self.0, &other.0) {
-            return out;
-        }
         let mut m = 0u32;
         for i in 0..C {
             if self.0[i].to_bits() != other.0[i].to_bits() {
@@ -359,6 +301,13 @@ mod tests {
         for i in 0..8 {
             assert_eq!(n.0[i], if i < 4 { 1.0 } else { 0.0 });
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn gather_out_of_range_index_panics() {
+        let values = [10.0f32, 11.0, 12.0, 13.0];
+        SimdF32::<4>::gather_or(&values, SimdI32([0, 4, -1, 1]), 0.0);
     }
 
     #[test]

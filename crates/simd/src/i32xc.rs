@@ -56,20 +56,12 @@ impl<const C: usize> SimdI32<C> {
     /// lines 10–12).
     #[inline(always)]
     pub fn cmp_eq_mask(self, other: Self) -> SimdF32<C> {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::i32_cmp_eq_mask(&self.0, &other.0) {
-            return SimdF32(out);
-        }
         SimdF32::from_fn(|i| if self.0[i] == other.0[i] { 1.0 } else { 0.0 })
     }
 
     /// Converts lanes to `f32` (`cvtI2f` of Listing 2).
     #[inline(always)]
     pub fn to_f32(self) -> SimdF32<C> {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::i32_to_f32(&self.0) {
-            return SimdF32(out);
-        }
         SimdF32::from_fn(|i| self.0[i] as f32)
     }
 

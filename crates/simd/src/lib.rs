@@ -12,18 +12,16 @@
 //! | 16 | Xeon Phi KNL (512-bit AVX-512 units, §IV-C)             |
 //! | 32 | GPU warp (32 SIMT lanes, §IV-B)                         |
 //!
-//! Implementation note: stable Rust has no `std::simd`, so the *portable*
-//! implementation of each primitive is a fixed-trip-count lane loop over a
-//! `#[repr(align(64))]` array. On x86-64 the primitives additionally have
-//! an explicit `std::arch` intrinsics backend ([`backend`], `x86`) that is
-//! selected **once per process at run time** from CPUID — so a binary
-//! built with the default target features still executes the very
-//! instructions Listing 2 names (`vminps`, `vaddps`, `vblendvps`,
-//! `vgatherdps`, …) on hardware that has them, with no dependence on
-//! `-C target-cpu=native` build flags (see `.cargo/config.toml` for the
-//! optional opt-in). The `SLIMSELL_SIMD={auto,scalar,avx2,avx512}`
-//! environment variable overrides the selection; every backend is
-//! bit-identical to the portable lane loops.
+//! Implementation note: stable Rust has no `std::simd`, so each primitive
+//! is a fixed-trip-count lane loop over a `#[repr(align(64))]` array, and
+//! that loop is the **only** implementation. Every primitive is
+//! `#[inline(always)]`, so a kernel's whole chunk loop inlines into one
+//! function body that the compiler vectorizes as a unit. There is no
+//! runtime dispatch and no environment variable; [`active_backend`]
+//! always names [`Backend::Scalar`]. Per-op intrinsics selected at run
+//! time were tried and removed: each op became a non-inlinable call, and
+//! the chunk MV ran 5–8× slower than these loops (ARCHITECTURE.md,
+//! "SIMD primitives and lane masks").
 //!
 //! Mask convention: comparison results are *numeric* masks holding `0.0`
 //! or `1.0` per lane, matching the paper's Listing 1 ("return a vector
@@ -40,18 +38,38 @@
 // `std::ops` traits.
 #![allow(clippy::needless_range_loop, clippy::should_implement_trait)]
 
-pub mod backend;
 pub mod f32xc;
 pub mod i32xc;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod x86;
 
-pub use backend::{active_backend, backend_supported, detect_best, set_backend, Backend};
 pub use f32xc::SimdF32;
 pub use i32xc::SimdI32;
 
 /// Lane counts used by the reproduction (CPU, AVX2, KNL, GPU-warp).
 pub const SUPPORTED_LANES: [usize; 4] = [4, 8, 16, 32];
+
+/// The implementation behind the `SimdF32`/`SimdI32` primitives. There is
+/// one: the portable lane loops. It is named so that benchmark host
+/// fingerprints can record it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// Portable fixed-trip lane loops.
+    Scalar,
+}
+
+impl Backend {
+    /// Stable lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Scalar => "scalar",
+        }
+    }
+}
+
+/// The backend in use: always [`Backend::Scalar`].
+#[inline]
+pub fn active_backend() -> Backend {
+    Backend::Scalar
+}
 
 /// Best-effort prefetch of the cache line containing `data[i]` into the
 /// whole cache hierarchy (`prefetcht0`). Purely a latency hint for
@@ -137,6 +155,12 @@ mod tests {
         fn run<const C: usize>(self) -> usize {
             C
         }
+    }
+
+    #[test]
+    fn active_backend_is_the_portable_loops() {
+        assert_eq!(active_backend(), Backend::Scalar);
+        assert_eq!(active_backend().name(), "scalar");
     }
 
     #[test]

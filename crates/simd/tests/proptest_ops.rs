@@ -1,5 +1,9 @@
 //! Property tests: every vector primitive agrees lane-wise with its
 //! scalar definition from the paper's Listing 1.
+//!
+//! The lane generator includes `-0.0` and NaN, so the properties also pin
+//! the IEEE-754 edge cases the engines depend on: signed-zero `min`,
+//! a `-0.0` blend mask selecting `a`, and NaN through `min`/`max`.
 
 use proptest::prelude::*;
 use slimsell_simd::{SimdF32, SimdI32};
@@ -9,8 +13,10 @@ const C: usize = 8;
 fn lanes() -> impl Strategy<Value = [f32; C]> {
     prop::array::uniform8(prop_oneof![
         Just(0.0f32),
+        Just(-0.0f32),
         Just(1.0f32),
         Just(f32::INFINITY),
+        Just(f32::NAN),
         -100.0f32..100.0f32,
     ])
 }
@@ -37,8 +43,8 @@ proptest! {
         let mn = SimdF32::<C>(a).min(SimdF32(b));
         let mx = SimdF32::<C>(a).max(SimdF32(b));
         for i in 0..C {
-            prop_assert_eq!(mn.0[i], a[i].min(b[i]));
-            prop_assert_eq!(mx.0[i], a[i].max(b[i]));
+            prop_assert_eq!(mn.0[i].to_bits(), a[i].min(b[i]).to_bits());
+            prop_assert_eq!(mx.0[i].to_bits(), a[i].max(b[i]).to_bits());
         }
     }
 

@@ -4,7 +4,7 @@
 //! are calibrated to the relative latencies that matter for the paper's
 //! findings (gathers ≫ coalesced loads ≳ ALU), not to any particular GPU
 //! part — the experiments read *shapes* (ratios, crossovers), not
-//! absolute times, exactly as DESIGN.md's substitution note states.
+//! absolute times, as befits a simulated stand-in for a real GPU.
 
 use slimsell_core::counters::IterStats;
 use slimsell_core::matrix::Representation;

@@ -21,8 +21,8 @@
 //! Functional execution reuses `slimsell_core::chunk_mv` and the semiring
 //! post-processing verbatim, so the simulator's BFS *output* is
 //! bit-identical to the CPU engine's — the cost model only decides what
-//! the simulated clock says. See DESIGN.md §3 for the substitution
-//! rationale.
+//! the simulated clock says. Experiments read its *shapes* (ratios,
+//! crossovers), not absolute times.
 
 pub mod bfs;
 pub mod cost;

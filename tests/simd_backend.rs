@@ -1,49 +1,31 @@
-//! SIMD backend and lane-mask invariants at the kernel level.
+//! SIMD primitive and lane-mask invariants at the kernel level.
 //!
-//! The explicit backends in `crates/simd` are required to be
-//! *bit-identical* to the portable scalar path, so every kernel output
-//! must be byte-for-byte equal across `SLIMSELL_SIMD` backends, thread
-//! counts, and sweep dispatchers. The lane-granular change masks must
-//! agree with a per-lane replay of the chunk-granular change test, and
-//! filtering worklist activation probes through them must never pay
-//! more than the chunk-granular fan-out — and must pay strictly less on
-//! a high-diameter graph, where partial-chunk frontiers dominate.
-//!
-//! The backend selection is process-global, so every test that toggles
-//! it serializes on one lock and restores the previous backend.
-
-use std::sync::Mutex;
+//! The portable lane loops in `crates/simd` are the only implementation
+//! of the vector primitives, so every kernel output must be
+//! byte-for-byte equal across sweep dispatchers and thread counts at
+//! every lane count. The lane-granular change masks must agree with a
+//! per-lane replay of the chunk-granular change test, and filtering
+//! worklist activation probes through them must never pay more than the
+//! chunk-granular fan-out — and must pay strictly less on a
+//! high-diameter graph, where partial-chunk frontiers dominate.
 
 use slimsell::prelude::*;
-use slimsell::simd::{backend_supported, set_backend, Backend};
 use slimsell_bench::dispatch::{prepare, RepKind, SemiringKind};
 use slimsell_core::semiring::StateVecs;
 use slimsell_gen::geometric::road_network;
 use slimsell_gen::rng::Xoshiro256pp;
-
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn backends_under_test() -> Vec<Backend> {
-    let mut v = vec![Backend::Scalar];
-    for b in [Backend::Avx2, Backend::Avx512] {
-        if backend_supported(b) {
-            v.push(b);
-        }
-    }
-    v
-}
 
 fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
 }
 
 /// Every kernel configuration must produce the same distances (and
-/// parents, where computed) under every backend × sweep × thread-count
-/// combination — the scalar/full/1-thread run is the reference.
+/// parents, where computed) under every sweep × thread-count
+/// combination — the full/1-thread run is the reference. (The name
+/// dates from when runtime-selected intrinsics backends were a third
+/// axis; the portable lane loops are now the only one.)
 #[test]
 fn kernels_bit_identical_across_backends() {
-    let _guard = BACKEND_LOCK.lock().unwrap();
-    let prev = set_backend(Backend::Scalar);
     let g = kronecker(9, 8.0, KroneckerParams::GRAPH500, 21);
     let n = g.num_vertices();
     let root = slimsell::graph::stats::sample_roots(&g, 1)[0];
@@ -53,35 +35,30 @@ fn kernels_bit_identical_across_backends() {
         for sem in SemiringKind::ALL {
             let p = prepare(&g, c, n, RepKind::SlimSell, sem);
             let mut baseline: Option<(Vec<u32>, Option<Vec<VertexId>>)> = None;
-            for &backend in &backends_under_test() {
-                set_backend(backend);
-                for sweep in sweeps {
-                    for threads in [1usize, 2, 8] {
-                        let opts = BfsOptions::default().sweep(sweep);
-                        let out = with_threads(threads, || p.run(root, &opts));
-                        assert_eq!(
-                            out.dist,
-                            reference.dist,
-                            "C={c} {} {backend:?} {sweep:?} {threads}T",
+            for sweep in sweeps {
+                for threads in [1usize, 2, 8] {
+                    let opts = BfsOptions::default().sweep(sweep);
+                    let out = with_threads(threads, || p.run(root, &opts));
+                    assert_eq!(
+                        out.dist,
+                        reference.dist,
+                        "C={c} {} {sweep:?} {threads}T",
+                        sem.name()
+                    );
+                    let got = (out.dist, out.parent);
+                    match &baseline {
+                        None => baseline = Some(got),
+                        Some(b) => assert_eq!(
+                            *b,
+                            got,
+                            "C={c} {} {sweep:?} {threads}T differs from full/1T",
                             sem.name()
-                        );
-                        let got = (out.dist, out.parent);
-                        match &baseline {
-                            None => baseline = Some(got),
-                            Some(b) => assert_eq!(
-                                *b,
-                                got,
-                                "C={c} {} {backend:?} {sweep:?} {threads}T differs from \
-                                 scalar/full/1T",
-                                sem.name()
-                            ),
-                        }
+                        ),
                     }
                 }
             }
         }
     }
-    set_backend(prev);
 }
 
 /// `state_changed_mask` must equal a per-lane replay of the
