@@ -11,7 +11,9 @@
 //! `B = 1` is the unbatched baseline — one sweep per query on the same
 //! thread budget — so `speedup_vs_b1` at equal client count isolates
 //! the amortization win of riding one `C·B`-wide sweep instead of `B`
-//! separate `C`-wide sweeps. Latency percentiles (nearest-rank, via
+//! separate `C`-wide sweeps. A batch of `k < B` queries is swept only
+//! as wide as it needs (1, 2 or 4 lanes), so at fill 1 or 4 a wider
+//! `B` should cost no more than `B = k`. Latency percentiles (nearest-rank, via
 //! `slimsell_analysis::serve`) expose the cost side: the batch window
 //! delays lightly loaded queries. Batch-fill and lane-occupancy
 //! counters are exact; only the timed fields are host-dependent.

@@ -339,14 +339,21 @@ impl VertexMask {
         })
     }
 
+    /// Whether the mask was built for a structure of these dimensions
+    /// (same `n`, chunk height `C`): the non-panicking form of
+    /// [`Self::check_layout`], for entry points that reject a foreign
+    /// mask with an error instead.
+    pub fn fits_layout<const C: usize>(&self, s: &SellStructure<C>) -> bool {
+        (self.n, self.lanes) == (s.n(), C)
+    }
+
     /// Asserts the mask matches a structure's dimensions — every
     /// masked kernel entry point calls this once up front so a mask
     /// built for a different graph (or chunk height) fails loudly, not
     /// with silently wrong lane math.
     pub fn check_layout<const C: usize>(&self, s: &SellStructure<C>) {
-        assert_eq!(
-            (self.n, self.lanes),
-            (s.n(), C),
+        assert!(
+            self.fits_layout(s),
             "mask built for n={} C={} used with a structure of n={} C={C}",
             self.n,
             self.lanes,
@@ -449,6 +456,15 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert!(m.contains(s.perm().to_new(4) as usize));
         VertexMask::structural(&s).check_layout(&s);
+    }
+
+    #[test]
+    fn fits_layout_compares_n_and_chunk_height() {
+        let g = GraphBuilder::new(8).edges([(0, 1)]).build();
+        let s = crate::structure::SellStructure::<4>::build(&g, 1);
+        assert!(VertexMask::full(8, 4).fits_layout(&s));
+        assert!(!VertexMask::full(8, 8).fits_layout(&s));
+        assert!(!VertexMask::full(9, 4).fits_layout(&s));
     }
 
     #[test]

@@ -194,18 +194,6 @@ impl SsspOptions {
         self.mask = mask;
         self
     }
-
-    /// Migration shim for the pre-PR-10 `sweep` field.
-    #[deprecated(note = "set `config.sweep` or use the `.sweep(..)` builder")]
-    pub fn set_sweep(&mut self, sweep: SweepMode) {
-        self.config.sweep = sweep;
-    }
-
-    /// Migration shim for the pre-PR-10 `schedule` field.
-    #[deprecated(note = "set `config.schedule` or use the `.schedule(..)` builder")]
-    pub fn set_schedule(&mut self, schedule: Schedule) {
-        self.config.schedule = schedule;
-    }
 }
 
 /// SSSP result.

@@ -11,10 +11,19 @@
 //! * an admission queue that **coalesces** concurrent single-source
 //!   queries into multi-source batches — a batch launches when `B`
 //!   roots have arrived or a batch window expires, whichever first;
-//! * per-query extraction back out of the `B`-lane batch state; each
+//! * **width-sized sweeps**: a batch of `k` live queries is swept
+//!   `W` lanes wide, the smallest of 1, 2 and 4 that holds `k` (capped
+//!   at `B`), else `B`. A sweep's cost follows its `n·W·4`-byte state,
+//!   so a lone query under light load pays for one lane, not `B`
+//!   padded copies, while bursts still fill all `B`;
+//! * per-query extraction back out of the `W`-lane batch state; each
 //!   lane is an exact single-source BFS, so served distances are
 //!   **bit-identical** to a standalone [`BfsEngine`](slimsell_core::BfsEngine)
 //!   run regardless of how queries were batched;
+//! * **typed submission errors**: an out-of-range root, a mask built
+//!   for another structure, or a root outside its mask resolves
+//!   [`QueryError::InvalidQuery`] on the client's thread — it never
+//!   panics the caller or costs a worker;
 //! * per-query **cancellation** and **iteration budgets**: a cancelled
 //!   or expired query drops out of result extraction without
 //!   perturbing its batch-mates, and once every lane of a batch is
@@ -79,7 +88,7 @@ pub use stats::{ServerStats, ShutdownReport};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slimsell_core::{ChunkMatrix, SlimSellMatrix, VertexMask};
+    use slimsell_core::{multi_bfs, ChunkMatrix, SlimSellMatrix, VertexMask};
     use slimsell_graph::{serial_bfs, CsrGraph, GraphBuilder, UNREACHABLE};
     use std::sync::Arc;
     use std::time::Duration;
@@ -363,12 +372,71 @@ mod tests {
         let g = path(8);
         let m = Arc::new(SlimSellMatrix::<4>::build(&g, g.num_vertices()));
         let mask = Arc::new(VertexMask::from_original(m.structure(), 0..4u32));
+        let foreign = Arc::new(VertexMask::full(9, 4));
         let server = BfsServer::<_, 4, 2>::start(m, wide_opts());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            server.submit_spec(7, QuerySpec::default().mask(mask))
-        }));
-        assert!(err.is_err(), "a root outside the mask must panic at submission");
+        let outside = server.submit_spec(7, QuerySpec::default().mask(mask));
+        let mismatched = server.submit_spec(0, QuerySpec::default().mask(foreign));
+        for h in [outside, mismatched] {
+            assert!(h.is_done(), "an invalid query must resolve at submission");
+            assert!(matches!(h.wait(), Err(QueryError::InvalidQuery { .. })));
+        }
+        let report = server.shutdown();
+        assert_eq!(report.stats.rejected, 2);
+        assert_eq!(report.stats.batches, 0, "invalid queries never reach a batch");
+        assert_eq!(report.stats.restarts, 0);
+        assert_partition(&report.stats);
+    }
+
+    #[test]
+    fn out_of_range_root_is_rejected_at_submission() {
+        let g = path(8);
+        let m = Arc::new(SlimSellMatrix::<4>::build(&g, g.num_vertices()));
+        let server = BfsServer::<_, 4, 2>::start(m, ServeOptions::default());
+        match server.submit(8).wait() {
+            Err(QueryError::InvalidQuery { reason }) => {
+                assert!(reason.contains("out of range"), "reason: {reason}")
+            }
+            other => panic!("expected InvalidQuery, got {other:?}"),
+        }
+        // The server is untouched: the next valid query is served.
+        assert_eq!(server.submit(7).wait().expect("served").dist, serial_bfs(&g, 7).dist);
+        let report = server.shutdown();
+        assert_eq!((report.stats.rejected, report.stats.served), (1, 1));
+        assert_eq!(report.stats.restarts, 0);
+        assert_partition(&report.stats);
+    }
+
+    #[test]
+    fn batches_sweep_only_their_live_lanes() {
+        // `cells = col_steps · C · W` pins the swept width `W`: a lone
+        // query rides one lane, three coalesced queries four, eight all
+        // of `B`.
+        let g = path(32);
+        let m = Arc::new(SlimSellMatrix::<4>::build(&g, g.num_vertices()));
+        let server = BfsServer::<_, 4, 8>::start(Arc::clone(&m), ServeOptions::default());
+        let lone = server.submit(0).wait().expect("served");
         server.shutdown();
+        assert_eq!(lone.dist, serial_bfs(&g, 0).dist);
+        assert_eq!(lone.batch.batch_size, 1);
+        assert_eq!(lone.batch.cells, lone.batch.col_steps * 4);
+        // Width changes bytes, not column steps: one lane walks exactly
+        // the chunks the padded eight-lane sweep walks.
+        let padded = multi_bfs::<_, 4, 8>(&*m, &[0; 8]);
+        assert_eq!(lone.batch.col_steps, padded.stats.total_col_steps());
+
+        let server = BfsServer::<_, 4, 8>::start(Arc::clone(&m), wide_opts());
+        for (k, w) in [(3u32, 4u64), (8, 8)] {
+            let handles: Vec<_> = (0..k).map(|r| server.submit(r)).collect();
+            for (r, h) in handles.into_iter().enumerate() {
+                let out = h.wait().expect("served");
+                assert_eq!(out.dist, serial_bfs(&g, r as u32).dist, "root {r}");
+                assert_eq!(out.batch.batch_size, k as usize);
+                assert_eq!(out.batch.cells, out.batch.col_steps * 4 * w, "{k} live lanes");
+            }
+        }
+        let stats = server.shutdown().stats;
+        assert_eq!(stats.batches, 2);
+        assert_partition(&stats);
     }
 
     #[test]

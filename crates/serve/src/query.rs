@@ -37,6 +37,14 @@ pub enum QueryError {
     /// and is rejecting new work while draining what it already
     /// admitted.
     Degraded,
+    /// The snapshot cannot run the query as submitted: the root is out
+    /// of range, the mask was built for another structure, or the root
+    /// lies outside its mask. Resolved at submission without entering
+    /// the queue, and counted as rejected.
+    InvalidQuery {
+        /// Which check the query failed.
+        reason: String,
+    },
     /// A fault killed the query after admission: the worker serving
     /// its batch panicked mid-batch, or the whole worker pool died
     /// while the query was queued. Batch-mates of a panicking worker
@@ -57,6 +65,7 @@ impl std::fmt::Display for QueryError {
             QueryError::ShutDown => write!(f, "server shutting down"),
             QueryError::QueueFull => write!(f, "admission queue full"),
             QueryError::Degraded => write!(f, "server degraded: worker restart budget exhausted"),
+            QueryError::InvalidQuery { reason } => write!(f, "invalid query: {reason}"),
             QueryError::Failed { reason } => write!(f, "query failed: {reason}"),
         }
     }
@@ -118,16 +127,20 @@ impl QuerySpec {
 pub struct BatchInfo {
     /// Server-unique batch id (assignment order, not submission order).
     pub batch_id: u64,
-    /// Live queries this batch coalesced (1..=B); unused lanes repeat
-    /// the first root and are never extracted.
+    /// Live queries this batch coalesced (1..=B). The batch is swept
+    /// `W` lanes wide: the smallest of 1, 2 and 4 that holds them
+    /// (capped at `B`), else `B`; the `W − batch_size` padding lanes
+    /// repeat the first root and are never extracted.
     pub batch_size: usize,
     /// Sweeps the batch executed.
     pub iterations: usize,
-    /// Total column steps across the batch's sweeps.
+    /// Total column steps across the batch's sweeps. Independent of
+    /// `W`: padding lanes repeat a live root, so they add bytes to a
+    /// sweep but never a column step.
     pub col_steps: u64,
-    /// Total `C·B` lane-slots touched (`col_steps · C · B`).
+    /// Total `C·W` lane-slots touched (`col_steps · C · W`).
     pub cells: u64,
-    /// Lane-slots that carried a stored arc (`arcs · B` per processed
+    /// Lane-slots that carried a stored arc (`arcs · W` per processed
     /// chunk) — the numerator of [`Self::lane_utilization`].
     pub active_cells: u64,
 }

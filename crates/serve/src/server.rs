@@ -37,7 +37,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use slimsell_core::{
-    multi_bfs_while, ChunkMatrix, MsBfsOptions, Schedule, SweepConfig, SweepMode, VertexMask,
+    multi_bfs_while, ChunkMatrix, MsBfsOptions, RunStats, Schedule, SweepConfig, SweepMode,
+    VertexMask,
 };
 use slimsell_graph::VertexId;
 
@@ -143,18 +144,6 @@ impl ServeOptions {
         self.config = config;
         self
     }
-
-    /// Migration shim for the pre-PR-10 `sweep` field.
-    #[deprecated(note = "set `config.sweep` or use the `.sweep(..)` builder")]
-    pub fn set_sweep(&mut self, sweep: SweepMode) {
-        self.config.sweep = sweep;
-    }
-
-    /// Migration shim for the pre-PR-10 `schedule` field.
-    #[deprecated(note = "set `config.schedule` or use the `.schedule(..)` builder")]
-    pub fn set_schedule(&mut self, schedule: Schedule) {
-        self.config.schedule = schedule;
-    }
 }
 
 struct QueueState {
@@ -192,9 +181,11 @@ struct Shared<M> {
 /// An immutable SlimSell snapshot (`Arc<M>`) is shared across a pool of
 /// worker threads. Clients submit single-source BFS queries; the
 /// admission queue coalesces concurrent queries into multi-source
-/// batches of up to `B` roots that ride the `C·B`-wide
-/// [`multi_bfs`](slimsell_core::multi_bfs) kernel, and each query's
-/// distances are extracted back out of its lane of the batch state.
+/// batches of up to `B` roots that ride the `C·W`-wide
+/// [`multi_bfs`](slimsell_core::multi_bfs) kernel — `W` the smallest of
+/// 1, 2 and 4 lanes that holds the batch's live queries (capped at
+/// `B`), else `B` — and each query's distances are extracted back out
+/// of its lane of the batch state.
 /// Because each lane computes an exact single-source BFS, served
 /// distances are bit-identical to a standalone run no matter how the
 /// queue happened to batch them.
@@ -248,8 +239,8 @@ where
     }
 
     /// Submits a single-source BFS query with the server's default
-    /// budget and deadline. Panics if `root` is out of range for the
-    /// snapshot.
+    /// budget and deadline. An out-of-range `root` resolves
+    /// [`QueryError::InvalidQuery`].
     pub fn submit(&self, root: VertexId) -> QueryHandle {
         self.submit_spec(
             root,
@@ -280,20 +271,14 @@ where
     /// ([`QueryError::DeadlineExceeded`], counted as
     /// [`ServerStats::shed`]), and fail the same way if the deadline
     /// passes before extraction (counted as [`ServerStats::expired`]).
-    /// Panics if `root` is out of range for the snapshot.
+    /// A query the snapshot cannot run — `root` out of range, a mask
+    /// built for another structure, or `root` outside its mask —
+    /// resolves [`QueryError::InvalidQuery`] at once (counted as
+    /// [`ServerStats::rejected`]) without entering the queue.
     pub fn submit_spec(&self, root: VertexId, spec: QuerySpec) -> QueryHandle {
-        let s = self.shared.matrix.structure();
-        let n = s.n();
-        assert!((root as usize) < n, "root {root} out of range for snapshot with {n} vertices");
-        if let Some(mask) = &spec.mask {
-            // Validate at submission, on the client's thread: a bad
-            // mask is a caller bug, not a batch fault to supervise.
-            mask.check_layout(s);
-            assert!(
-                mask.contains(s.perm().to_new(root) as usize),
-                "root {root} is not in the query's vertex mask"
-            );
-        }
+        // Validated here, on the client's thread: a malformed query is
+        // the caller's error, never a batch fault for supervision.
+        let invalid = self.invalid_reason(root, spec.mask.as_deref());
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = spec.deadline.map(|d| Instant::now() + d);
         let ticket = Arc::new(Ticket::new(
@@ -306,6 +291,10 @@ where
         ));
         let handle = QueryHandle { ticket: Arc::clone(&ticket) };
         sync::lock(&self.shared.stats).submitted += 1;
+        if let Some(reason) = invalid {
+            ticket.resolve(Err(QueryError::InvalidQuery { reason }), Outcome::Rejected);
+            return handle;
+        }
         if spec.budget == Some(0) {
             ticket.resolve(Err(QueryError::BudgetExhausted), Outcome::Expired);
             return handle;
@@ -341,6 +330,26 @@ where
         }
         self.shared.cv.notify_all();
         handle
+    }
+
+    /// Why the snapshot cannot run a query from `root` under `mask`;
+    /// `None` when it can.
+    fn invalid_reason(&self, root: VertexId, mask: Option<&VertexMask>) -> Option<String> {
+        let s = self.shared.matrix.structure();
+        let n = s.n();
+        if root as usize >= n {
+            return Some(format!("root {root} out of range for snapshot with {n} vertices"));
+        }
+        let mask = mask?;
+        if !mask.fits_layout(s) {
+            return Some(format!(
+                "mask built for n={} C={} used with a snapshot of n={n} C={C}",
+                mask.n(),
+                mask.lanes()
+            ));
+        }
+        (!mask.contains(s.perm().to_new(root) as usize))
+            .then(|| format!("root {root} is not in the query's vertex mask"))
     }
 
     /// Snapshot of the server's lifetime counters.
@@ -667,45 +676,36 @@ fn run_batch<M, const C: usize, const B: usize>(
     }
     let inject_panic = matches!(fault, Some(FaultKind::Panic));
 
-    // Unused lanes repeat the first live root; `multi_bfs` tolerates
-    // duplicates and those lanes are simply never extracted.
-    let mut roots = [live[0].root; B];
-    for (lane, t) in live.iter().enumerate() {
-        roots[lane] = t.root;
-    }
     // Every live ticket in the batch carries the same mask (pointer-
     // identical or absent) by batch-formation contract, so the whole
     // batch rides one masked sweep.
     let opts = MsBfsOptions::default().config(shared.opts.config).mask(live[0].mask.clone());
-    // The iteration-level control hook: keep sweeping only while some
-    // lane's query is still live — neither cancelled, past its budget,
-    // nor past its wall-clock deadline. When the last live lane drops,
-    // the sweep stops gracefully instead of running to convergence.
-    // An injected panic fires here, after the batch formed and the
-    // sweep state was allocated — genuinely mid-batch, but between
-    // sweeps and outside any parallel region.
-    let out = multi_bfs_while(&*shared.matrix, &roots, &opts, |iter| {
-        if inject_panic {
-            panic!("injected fault: panic at sweep {iter}");
-        }
-        live.iter().any(|t| {
-            !t.is_cancelled() && t.budget.is_none_or(|b| iter <= b) && !t.deadline_passed()
-        })
-    });
+    // A sweep's cost follows its `n·W·4`-byte state, so the batch is
+    // swept only as wide as its live lanes need: under light load a
+    // lone query rides one lane instead of `B` padded copies. Padding
+    // lanes never change column steps (they repeat a live root), so
+    // width moves bytes and time, not the traversal.
+    let m = &*shared.matrix;
+    let (dist, iterations, completed, run) = match live.len().next_power_of_two().min(B) {
+        1 => sweep_at_width::<M, C, 1>(m, &live, &opts, inject_panic),
+        2 => sweep_at_width::<M, C, 2>(m, &live, &opts, inject_panic),
+        4 => sweep_at_width::<M, C, 4>(m, &live, &opts, inject_panic),
+        _ => sweep_at_width::<M, C, B>(m, &live, &opts, inject_panic),
+    };
 
     let info = BatchInfo {
         batch_id: shared.next_batch.fetch_add(1, Ordering::Relaxed),
         batch_size: live.len(),
-        iterations: out.iterations,
-        col_steps: out.stats.total_col_steps(),
-        cells: out.stats.total_cells(),
-        active_cells: out.stats.total_active_cells(),
+        iterations,
+        col_steps: run.total_col_steps(),
+        cells: run.total_cells(),
+        active_cells: run.total_active_cells(),
     };
 
-    let mut dists = out.dist.into_iter();
+    let mut dists = dist.into_iter();
     for t in &live {
         // One distance vector per lane by construction (live.len() <=
-        // B); if this ever breaks, the panic is trapped by supervision
+        // W); if this ever breaks, the panic is trapped by supervision
         // and fails this batch alone.
         let dist = dists.next().expect("one distance vector per lane");
         if t.is_cancelled() {
@@ -714,10 +714,10 @@ fn run_batch<M, const C: usize, const B: usize>(
             // its batch-mates.
             continue;
         }
-        let within = t.budget.is_none_or(|b| out.iterations <= b);
+        let within = t.budget.is_none_or(|b| iterations <= b);
         if t.deadline_passed() {
             t.resolve(Err(QueryError::DeadlineExceeded), Outcome::Expired);
-        } else if out.completed && within {
+        } else if completed && within {
             t.resolve(Ok(QueryOutput { dist, batch: info.clone() }), Outcome::Served);
         } else {
             t.resolve(Err(QueryError::BudgetExhausted), Outcome::Expired);
@@ -728,9 +728,45 @@ fn run_batch<M, const C: usize, const B: usize>(
     stats.batches += 1;
     stats.multi_root_batches += (info.batch_size > 1) as u64;
     stats.coalesced += info.batch_size as u64;
-    stats.aborted_sweeps += (!out.completed) as u64;
+    stats.aborted_sweeps += (!completed) as u64;
     stats.total_iterations += info.iterations as u64;
     stats.total_col_steps += info.col_steps;
     stats.total_cells += info.cells;
     stats.total_active_cells += info.active_cells;
+}
+
+/// Sweeps one batch `W` lanes wide: lane `i` carries `live[i]`'s root
+/// and the `W − live.len()` padding lanes repeat the first root, which
+/// `multi_bfs_while` tolerates; padding is never extracted. Returns the
+/// per-lane distances, the iterations run, whether the sweep converged,
+/// and its work counters.
+fn sweep_at_width<M, const C: usize, const W: usize>(
+    matrix: &M,
+    live: &[&Arc<Ticket>],
+    opts: &MsBfsOptions,
+    inject_panic: bool,
+) -> (Vec<Vec<u32>>, usize, bool, RunStats)
+where
+    M: ChunkMatrix<C>,
+{
+    let mut roots = [live[0].root; W];
+    for (lane, t) in live.iter().enumerate() {
+        roots[lane] = t.root;
+    }
+    // The iteration-level control hook: keep sweeping only while some
+    // lane's query is still live — neither cancelled, past its budget,
+    // nor past its wall-clock deadline. When the last live lane drops,
+    // the sweep stops gracefully instead of running to convergence.
+    // An injected panic fires here, after the batch formed and the
+    // sweep state was allocated — genuinely mid-batch, but between
+    // sweeps and outside any parallel region.
+    let out = multi_bfs_while(matrix, &roots, opts, |iter| {
+        if inject_panic {
+            panic!("injected fault: panic at sweep {iter}");
+        }
+        live.iter().any(|t| {
+            !t.is_cancelled() && t.budget.is_none_or(|b| iter <= b) && !t.deadline_passed()
+        })
+    });
+    (out.dist, out.iterations, out.completed, out.stats)
 }

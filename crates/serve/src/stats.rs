@@ -16,7 +16,8 @@ pub(crate) enum Outcome {
     Expired,
     /// Client cancellation won the resolution race.
     Cancelled,
-    /// Refused admission: shutdown, degraded mode, or a full queue.
+    /// Refused admission: an invalid query, shutdown, degraded mode, or
+    /// a full queue.
     Rejected,
     /// A worker panic (or worker-pool death) killed the query's batch.
     Failed,
@@ -47,9 +48,9 @@ pub struct ServerStats {
     pub expired: u64,
     /// Queries that resolved `Cancelled`.
     pub cancelled: u64,
-    /// Queries refused admission: submitted after shutdown
-    /// (`ShutDown`), while degraded (`Degraded`), or against a full
-    /// bounded queue (`QueueFull`).
+    /// Queries refused admission: malformed (`InvalidQuery`), submitted
+    /// after shutdown (`ShutDown`), while degraded (`Degraded`), or
+    /// against a full bounded queue (`QueueFull`).
     pub rejected: u64,
     /// Queries that resolved `Failed`: their batch's worker panicked
     /// mid-batch, or the whole worker pool died with them queued.
@@ -86,7 +87,9 @@ pub struct ServerStats {
     pub total_iterations: u64,
     /// Column steps across all batches.
     pub total_col_steps: u64,
-    /// `C·B` lane-slots touched across all batches.
+    /// Lane-slots touched across all batches: `C·W` per column step,
+    /// where `W` is the width each batch was swept at
+    /// ([`BatchInfo::cells`](crate::BatchInfo::cells)).
     pub total_cells: u64,
     /// Touched lane-slots that carried a stored arc.
     pub total_active_cells: u64,

@@ -306,34 +306,3 @@ fn bottom_up_frontier_probes_drop_on_road_network() {
         "descriptor recovery did not pay off: worklist {dwl_probes} vs full {dfull_probes} probes"
     );
 }
-
-// ----------------------------------------------------- migration shims
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_sweep_shims_still_configure() {
-    // The pre-PR-10 `set_sweep`/`set_schedule` mutators must keep
-    // working (they forward into the shared SweepConfig) until callers
-    // finish migrating to the builders.
-    let mut opts = BfsOptions::default();
-    opts.set_sweep(SweepMode::Worklist);
-    opts.set_schedule(Schedule::Static);
-    assert_eq!(opts.config.sweep, SweepMode::Worklist);
-    assert_eq!(opts.config.schedule, Schedule::Static);
-    let mut opts = SsspOptions::default();
-    opts.set_sweep(SweepMode::Full);
-    opts.set_schedule(Schedule::Static);
-    assert_eq!(opts.config, SweepConfig::new(SweepMode::Full, Schedule::Static));
-    let mut opts = PageRankOptions::default();
-    opts.set_sweep(SweepMode::Worklist);
-    assert_eq!(opts.config.sweep, SweepMode::Worklist);
-    let mut opts = slimsell::core::MsBfsOptions::default();
-    opts.set_schedule(Schedule::Static);
-    assert_eq!(opts.config.schedule, Schedule::Static);
-    let mut opts = slimsell::core::BetweennessOptions::default();
-    opts.set_sweep(SweepMode::Adaptive);
-    assert_eq!(opts.config.sweep, SweepMode::Adaptive);
-    let mut opts = ServeOptions::default();
-    opts.set_sweep(SweepMode::Full);
-    assert_eq!(opts.config.sweep, SweepMode::Full);
-}

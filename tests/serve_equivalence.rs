@@ -5,8 +5,9 @@
 //! multi-source engine ([`BfsServer`]) returns distances bit-identical
 //! to a standalone single-source [`BfsEngine`] run — no matter how the
 //! admission queue slices the stream into batches (window 0 ≈ singleton
-//! batches, a long window ≈ full B-lane batches), which lanes a query
-//! lands on, or what its batch-mates do (cancel, expire).
+//! batches, a long window ≈ full B-lane batches), how many lanes wide
+//! its batch is swept, which lane a query lands on, or what its
+//! batch-mates do (cancel, expire).
 
 use proptest::prelude::*;
 use slimsell::prelude::*;
@@ -36,12 +37,42 @@ fn standalone(m: &SlimSellMatrix<C>, root: VertexId) -> Vec<u32> {
     BfsEngine::run::<_, TropicalSemiring, C>(m, root, &BfsOptions::default()).dist
 }
 
+/// Submits every root to a fresh `BfsServer<_, C, LANES>` at once, then
+/// checks each answer against the standalone run and each batch's
+/// exact counters: with `LANES` a power of two, a batch of `k` live
+/// queries is swept `k.next_power_of_two()` lanes wide, so it touches
+/// exactly `col_steps · C · width` lane-slots.
+fn serve_bulk<const LANES: usize>(
+    m: &Arc<SlimSellMatrix<C>>,
+    roots: &[VertexId],
+    window: Duration,
+) {
+    let opts = ServeOptions { batch_window: window, ..Default::default() };
+    let server = BfsServer::<_, C, LANES>::start(Arc::clone(m), opts);
+    let handles: Vec<_> = roots.iter().map(|&r| server.submit(r)).collect();
+    for (h, &root) in handles.into_iter().zip(roots) {
+        let out = h.wait().expect("unbudgeted query failed");
+        assert_eq!(out.dist, standalone(m, root), "root {root}");
+        let b = &out.batch;
+        assert!(b.batch_size >= 1 && b.batch_size <= LANES);
+        let width = b.batch_size.next_power_of_two() as u64;
+        assert_eq!(b.cells, b.col_steps * (C as u64) * width, "batch of {}", b.batch_size);
+    }
+    let report = server.shutdown();
+    let stats = report.stats;
+    assert_eq!(report.unclean_joins, 0);
+    assert_eq!(stats.submitted, roots.len() as u64);
+    assert_eq!(stats.served, roots.len() as u64);
+    assert_eq!(stats.submitted, stats.resolved());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Submit-all-then-wait: the queue backlog produces multi-root
     /// batches (window permitting); every answer must equal the
-    /// standalone run for its root.
+    /// standalone run for its root. A `B = 4` and a `B = 8` server
+    /// between them sweep at every width 1/2/4/8.
     #[test]
     fn served_equals_standalone_bulk(
         g in arb_graph(),
@@ -50,21 +81,9 @@ proptest! {
     ) {
         let n = g.num_vertices();
         let m = Arc::new(SlimSellMatrix::<C>::build(&g, n));
-        let opts = ServeOptions { batch_window: window(window_sel), ..Default::default() };
-        let server = BfsServer::<_, C, B>::start(Arc::clone(&m), opts);
         let roots: Vec<VertexId> = root_sels.iter().map(|&r| (r % n) as VertexId).collect();
-        let handles: Vec<_> = roots.iter().map(|&r| server.submit(r)).collect();
-        for (h, &root) in handles.into_iter().zip(&roots) {
-            let out = h.wait().expect("unbudgeted query failed");
-            prop_assert_eq!(&out.dist, &standalone(&m, root), "root {}", root);
-            prop_assert!(out.batch.batch_size >= 1 && out.batch.batch_size <= B);
-        }
-        let report = server.shutdown();
-        let stats = report.stats;
-        prop_assert_eq!(report.unclean_joins, 0);
-        prop_assert_eq!(stats.submitted, roots.len() as u64);
-        prop_assert_eq!(stats.served, roots.len() as u64);
-        prop_assert_eq!(stats.submitted, stats.resolved());
+        serve_bulk::<B>(&m, &roots, window(window_sel));
+        serve_bulk::<8>(&m, &roots, window(window_sel));
     }
 
     /// Lock-step submission (wait for each answer before submitting the
