@@ -11,14 +11,13 @@
 //! 2. a *backward* sweep accumulating dependencies
 //!    `δ_s(v) = Σ_{w: succ} σ(v)/σ(w) · (1 + δ(w))`.
 //!
-//! The forward sweep reuses the BFS engine's sweep dispatchers
-//! verbatim ([`crate::bfs`]'s full-range and worklist iterators), so it
-//! rides the same [`SweepMode`] substrate as every other kernel: full
-//! sweeps, frontier-proportional worklist sweeps, or the adaptive
-//! controller ([`BetweennessOptions::sweep`], defaulting to the
-//! `SLIMSELL_SWEEP` env var). Every sweep runs *tracked* — the exact
-//! bit-wise changed-chunk list is harvested each iteration as the
-//! deterministic frontier from which σ and levels are recorded, in
+//! The forward sweep reuses the BFS engine's iteration step verbatim
+//! ([`crate::bfs`]), so it rides the same [`SweepMode`] substrate as
+//! every other kernel: full sweeps, frontier-proportional worklist
+//! sweeps, or the adaptive controller ([`BetweennessOptions::sweep`],
+//! defaulting to the `SLIMSELL_SWEEP` env var). Every sweep *records*
+//! its change masks — the exact bit-wise changed-chunk list is
+//! harvested each iteration as the deterministic frontier from which σ and levels are recorded, in
 //! ascending chunk order in every mode, so the DAG (and hence the
 //! centralities) is bit-identical across sweep modes and thread
 //! counts. The backward sweep stays **sequential by design**: dependency
@@ -55,11 +54,11 @@ use std::time::Instant;
 use rayon::prelude::*;
 use slimsell_graph::VertexId;
 
-use crate::bfs::{iterate, iterate_worklist, BfsOptions, EngineScratch};
+use crate::bfs::{step, BfsOptions, EngineScratch};
 use crate::counters::RunStats;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{RealSemiring, Semiring, StateVecs};
-use crate::sweep::{resolve_sweep, ExecutedSweep, SweepConfig, SweepMode};
+use crate::sweep::{SweepConfig, SweepMode};
 use crate::tiling::Schedule;
 
 /// Betweenness options: sweep strategy and scheduling for the forward
@@ -123,7 +122,7 @@ where
 
 /// Forward sweep from `root` under the given sweep policy.
 ///
-/// Runs the BFS engine's sweep dispatchers with change tracking forced
+/// Runs the BFS engine's iteration step with change recording forced
 /// on in every mode: the exact bit-wise changed-chunk list of each
 /// iteration (which the adaptive controller needs anyway) doubles as
 /// the frontier from which new levels and σ values are harvested —
@@ -157,7 +156,6 @@ where
     level[root_p] = 0;
     sigma[root_p] = 1.0;
 
-    let nc = np / C;
     let bfs_opts = BfsOptions::default().config(opts.config);
     let mut scratch = EngineScratch::new();
     if opts.config.sweep.uses_worklist() {
@@ -172,45 +170,23 @@ where
     loop {
         depth += 1;
         let t0 = Instant::now();
-        let EngineScratch { act, pending, ctl, .. } = &mut scratch;
-        let (exec, seeded) = match opts.config.sweep {
-            // Short-circuit before touching `dep_graph()`: pure
-            // full-sweep runs must not force the lazy build.
-            SweepMode::Full => (ExecutedSweep::Full, None),
-            _ => resolve_sweep(opts.config.sweep, ctl, act, s.dep_graph(), pending, nc, None),
-        };
-        let mut it = match exec {
-            // track = true even in pure full mode: the changed-chunk
-            // list is the harvest frontier, not just re-seeding state.
-            ExecutedSweep::Full => iterate::<M, S, C>(
-                matrix,
-                &cur,
-                &mut nxt,
-                &mut d,
-                depth as f32,
-                &bfs_opts,
-                &mut scratch,
-                true,
-            ),
-            ExecutedSweep::Worklist => iterate_worklist::<M, S, C>(
-                matrix,
-                &cur,
-                &mut nxt,
-                &mut d,
-                depth as f32,
-                &bfs_opts,
-                &mut scratch,
-            ),
-        };
-        it.sweep_mode = exec;
-        if let Some(probes) = seeded {
-            it.activations = probes;
-        }
+        // record = true even in pure full mode: the changed-chunk list
+        // is the harvest frontier, not just re-seeding state.
+        let mut it = step::<M, S, C>(
+            matrix,
+            &cur,
+            &mut nxt,
+            &mut d,
+            depth as f32,
+            &bfs_opts,
+            &mut scratch,
+            true,
+        );
         it.elapsed = t0.elapsed();
         let any = it.changed;
         stats.iters.push(it);
         // Record σ and level for the newly discovered frontier. After
-        // either dispatcher, `scratch.pending` holds exactly this
+        // either sweep kind, `scratch.pending` holds exactly this
         // iteration's bit-wise changed (chunk, lane-mask) pairs in
         // ascending chunk order — a newly counted vertex changed its
         // `x` lane, so its chunk (and lane bit) is always listed.

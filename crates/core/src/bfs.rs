@@ -13,9 +13,10 @@
 //! (`nxt`) and of the persistent distance vector `d`, so the rayon loop
 //! is race-free by construction.
 //!
-//! Parallel execution model: each iteration builds a [`ChunkTiling`]
-//! that partitions the chunk range into contiguous per-worker tiles
-//! ([`ChunkSpan`]) whose output slabs are carved out of the state
+//! Parallel execution model: each iteration sweeps one [`ChunkSet`] —
+//! the whole chunk range or the active worklist — through
+//! [`ChunkSet::sweep`], which partitions the set into contiguous
+//! per-worker tiles whose output slabs are carved out of the state
 //! vectors with `split_at_mut` — disjoint `&mut [f32]` ownership, no
 //! locks, no atomics on the frontier. Static scheduling makes exactly
 //! one tile per thread (OpenMP static); dynamic scheduling
@@ -25,8 +26,9 @@
 //! determinism tests compare parallel runs against. Outputs are
 //! bit-identical across thread counts and schedules because every
 //! chunk's math is independent and writes are positional. The same
-//! machinery (shared via [`crate::tiling`]) drives SlimChunk, PageRank,
-//! SSSP, multi-source BFS and the betweenness forward sweep.
+//! sweep (shared via [`crate::tiling`]) drives SlimChunk, PageRank,
+//! SSSP, multi-source BFS and the betweenness forward sweep, and one
+//! span runner serves full and worklist sweeps alike.
 //!
 //! Worklist sweeps ([`SweepMode::Worklist`]) replace the full sweep
 //! with frontier-proportional sweeps over an active-chunk worklist: the
@@ -43,14 +45,14 @@
 //! sweep; only the visit/skip accounting differs (see
 //! [`IterStats::chunks_not_on_worklist`]).
 //!
-//! Which sweep runs is decided by the [`SweepMode`] policy layer
+//! Which chunk set runs is decided by the [`SweepMode`] policy layer
 //! ([`crate::sweep`]): [`BfsOptions::config`] selects pure full sweeps,
 //! pure worklist sweeps, or — the default — the adaptive controller
 //! that picks per iteration at the calibrated `~nc/2` crossover with
-//! hysteresis. Adaptive full sweeps are *tracked* (per-chunk bit-exact
-//! change flags) so the worklist can be re-seeded correctly on every
-//! full→worklist transition; see the `sweep` module docs for the
-//! re-seeding invariant. The 1-thread full-sweep run remains the
+//! hysteresis. Adaptive full sweeps *record* per-chunk bit-exact change
+//! masks, like every worklist sweep, so the worklist can be re-seeded
+//! correctly on every full→worklist transition; see the `sweep` module
+//! docs for the re-seeding invariant. The 1-thread full-sweep run remains the
 //! oracle the equivalence suite compares every mode against.
 
 use std::sync::Arc;
@@ -64,8 +66,8 @@ use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{Semiring, StateVecs};
 use crate::slimchunk;
-use crate::sweep::{resolve_sweep, AdaptiveController, ExecutedSweep, SweepConfig, SweepMode};
-use crate::tiling::{ChunkSpan, ChunkTiling, WorklistSpan, WorklistTiling};
+use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::tiling::{ChunkSet, ChunkTiling};
 use crate::worklist::{full_lane_mask, ActivationState};
 
 pub use crate::tiling::Schedule;
@@ -161,34 +163,28 @@ pub struct BfsOutput {
 }
 
 /// Per-run reusable buffers, owned by [`BfsEngine::run`] (and the
-/// direction-optimized driver) and threaded through every iteration so
-/// the hot loop allocates nothing proportional to the graph: the cached
-/// chunk tiling, the worklist activation machinery, and SlimChunk's
-/// per-phase task/partial buffers all persist across hops.
+/// direction-optimized drivers and the betweenness forward sweep) and
+/// threaded through every iteration so the hot loop allocates nothing
+/// proportional to the graph: the cached full-range tiling, the
+/// worklist activation machinery, the sweep's change masks and
+/// SlimChunk's per-phase buffers all persist across hops.
 #[derive(Default)]
 pub(crate) struct EngineScratch {
     /// Cached full-range tiling, keyed by (chunk count, schedule).
     pub(crate) tiling: Option<(usize, Schedule, ChunkTiling)>,
-    /// Worklist activation machinery (stamps, worklist, changed masks).
+    /// Worklist activation machinery (stamps, worklist).
     pub(crate) act: ActivationState,
     /// Seeds for the next worklist: `(chunk, lane mask)` pairs for
     /// chunks whose state changed this iteration, with the mask naming
-    /// the changed rows (the direction-optimized driver also pushes the
-    /// lanes its top-down steps touched).
+    /// the changed rows (the direction-optimized drivers also push the
+    /// lanes their top-down steps touched).
     pub(crate) pending: Vec<(u32, u32)>,
     /// Adaptive sweep controller (latched mode + hysteresis).
     pub(crate) ctl: AdaptiveController,
-    /// Per-chunk changed lane masks of adaptive mode's *tracked* full
-    /// sweeps (one mask per chunk over the whole range).
-    pub(crate) full_changed: Vec<u32>,
-    /// SlimChunk task list: (chunk id, first column step, last).
-    pub(crate) tasks: Vec<(usize, usize, usize)>,
-    /// SlimChunk per-chunk task-range offsets (one past each chunk).
-    pub(crate) task_start: Vec<usize>,
-    /// SlimChunk per-chunk SlimWork skip flags.
-    pub(crate) skip: Vec<bool>,
-    /// SlimChunk tile partial accumulators (`tasks.len() * C`).
-    pub(crate) partials: Vec<f32>,
+    /// Per-position changed lane masks recorded by the current sweep.
+    pub(crate) masks: Vec<u32>,
+    /// SlimChunk's task list, offsets, skip flags and tile partials.
+    pub(crate) tasks: slimchunk::TaskBuffers,
 }
 
 impl EngineScratch {
@@ -197,9 +193,9 @@ impl EngineScratch {
     }
 }
 
-/// Field-splittable form of [`EngineScratch::full_tiling`], so callers
-/// holding `&mut` borrows of other scratch fields can still reach the
-/// cache.
+/// The cached full-range tiling of [`EngineScratch::tiling`], rebuilt
+/// when the chunk count or schedule changes. Takes the field rather
+/// than the scratch so callers can hold borrows of the other fields.
 pub(crate) fn cached_full_tiling(
     slot: &mut Option<(usize, Schedule, ChunkTiling)>,
     nc: usize,
@@ -266,8 +262,17 @@ impl BfsEngine {
         loop {
             depth += 1;
             let t0 = Instant::now();
-            let mut it =
-                step::<M, S, C>(matrix, &cur, &mut nxt, &mut d, depth as f32, opts, &mut scratch);
+            let record = opts.config.sweep.uses_worklist();
+            let mut it = step::<M, S, C>(
+                matrix,
+                &cur,
+                &mut nxt,
+                &mut d,
+                depth as f32,
+                opts,
+                &mut scratch,
+                record,
+            );
             it.elapsed = t0.elapsed();
             let changed = it.changed;
             stats.iters.push(it);
@@ -389,51 +394,22 @@ where
     (changed, s.cl()[i] as u64, s.chunk_arcs()[i], 0)
 }
 
-/// Runs the MV + post-processing over one tile's chunks, sequentially
-/// within the tile. Also the engine's sequential fallback (one span
-/// covering every chunk) — the C-lane correctness oracle.
-fn mv_span<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    span: ChunkSpan<'_>,
-    depth: f32,
-    slimwork: bool,
-    mask: Option<&VertexMask>,
-) -> (bool, u64, u64, usize)
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    let mut acc = (false, 0u64, 0u64, 0usize);
-    let per_chunk = span
-        .x
-        .chunks_mut(C)
-        .zip(span.g.chunks_mut(C))
-        .zip(span.p.chunks_mut(C))
-        .zip(span.d.chunks_mut(C));
-    for (k, (((nx, ng), np), dd)) in per_chunk.enumerate() {
-        let (c, steps, arcs, skip) =
-            do_chunk::<M, S, C>(matrix, cur, span.c0 + k, (nx, ng, np, dd), depth, slimwork, mask);
-        acc.0 |= c;
-        acc.1 += steps;
-        acc.2 += arcs;
-        acc.3 += skip;
-    }
-    acc
-}
-
-/// One frontier expansion: the sweep-policy decision (which dispatcher
-/// runs, whether the worklist is seeded first) followed by the chosen
-/// execution mode (full sweep / worklist × untiled / SlimChunk). The
-/// shared entry point of the engine loop and the direction-optimized
-/// driver.
+/// One frontier expansion: the sweep-policy decision
+/// ([`resolve_sweep`] picks this iteration's [`ChunkSet`], seeding the
+/// worklist when one is due), one sweep over that set (untiled or
+/// SlimChunk) and, when `record` is set, the harvest of the sweep's
+/// change masks into the pending seed list. The shared entry point of
+/// the engine loop, the direction-optimized drivers and the betweenness
+/// forward sweep.
 ///
-/// In [`SweepMode::Adaptive`] the controller applies its hysteresis
-/// rule to the pending seed count — the changed chunks of the previous
-/// iteration — *before* any dependency expansion, so full-sweep
-/// iterations never pay an activation probe. Adaptive full sweeps run
-/// *tracked* so the pending list stays current for the next
-/// full→worklist transition.
+/// `record` is the caller's change-tracking rule. Runs that may sweep a
+/// worklist ([`SweepMode::uses_worklist`]) record every sweep: worklist
+/// sweeps seed the next worklist from their masks, and adaptive full
+/// sweeps keep the pending list current for the next full→worklist
+/// transition (see [`crate::sweep`]). Pure full-sweep runs never pay
+/// for change detection. The betweenness forward sweep records in every
+/// mode, because the harvest is its frontier.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn step<M, S, const C: usize>(
     matrix: &M,
     cur: &StateVecs,
@@ -442,6 +418,7 @@ pub(crate) fn step<M, S, const C: usize>(
     depth: f32,
     opts: &BfsOptions,
     scratch: &mut EngineScratch,
+    record: bool,
 ) -> IterStats
 where
     M: ChunkMatrix<C>,
@@ -449,281 +426,69 @@ where
 {
     let s = matrix.structure();
     let nc = s.num_chunks();
-    let EngineScratch { act, pending, ctl, .. } = &mut *scratch;
-    let (exec, seeded) = match opts.config.sweep {
-        // Short-circuit before touching `dep_graph()`: pure full-sweep
-        // runs must not force the lazy dependency-graph build.
-        SweepMode::Full => (ExecutedSweep::Full, None),
-        _ => resolve_sweep(
-            opts.config.sweep,
-            ctl,
-            act,
-            s.dep_graph(),
-            pending,
-            nc,
-            opts.mask.as_deref(),
+    let EngineScratch { tiling, act, pending, ctl, masks, tasks } = scratch;
+    let mask = opts.mask.as_deref();
+    let (set, seeded) =
+        resolve_sweep(opts.config.sweep, ctl, act, || s.dep_graph(), pending, nc, mask);
+    let full = cached_full_tiling(tiling, nc, opts.config.schedule);
+    let recorded = record.then_some(&mut *masks);
+    let mut it = match opts.slimchunk {
+        None => iterate::<M, S, C>(matrix, cur, nxt, d, depth, opts, set, full, recorded),
+        Some(w) => slimchunk::iterate_tiled::<M, S, C>(
+            matrix, cur, nxt, d, depth, opts, w, set, full, recorded, tasks,
         ),
     };
-    // Only adaptive full sweeps pay for change tracking: pure full
-    // sweeps never transition, pure worklist sweeps track via the
-    // worklist flags.
-    let track = opts.config.sweep == SweepMode::Adaptive;
-    let mut it = match (exec, opts.slimchunk) {
-        (ExecutedSweep::Full, None) => {
-            iterate::<M, S, C>(matrix, cur, nxt, d, depth, opts, scratch, track)
-        }
-        (ExecutedSweep::Full, Some(w)) => slimchunk::iterate_tiled_full::<M, S, C>(
-            matrix, cur, nxt, d, depth, opts, w, scratch, track,
-        ),
-        (ExecutedSweep::Worklist, None) => {
-            iterate_worklist::<M, S, C>(matrix, cur, nxt, d, depth, opts, scratch)
-        }
-        (ExecutedSweep::Worklist, Some(w)) => slimchunk::iterate_tiled_worklist::<M, S, C>(
-            matrix, cur, nxt, d, depth, opts, w, scratch,
-        ),
-    };
-    it.sweep_mode = exec;
-    if let Some(probes) = seeded {
-        // Activation probes paid this iteration, whichever dispatcher
-        // then ran (a seeded-but-full iteration still did the work).
-        it.activations = probes;
+    if record {
+        it.changed_chunks = set.harvest(masks, pending);
     }
+    it.activations = seeded.unwrap_or(0);
     it
 }
 
-/// Like [`mv_span`], but additionally records each chunk's exact
-/// bit-wise changed *lane mask* into the parallel `flags` slab (one
-/// mask per chunk of the span) — the tracked full sweep of adaptive
-/// mode. A SlimWork-skipped chunk forwarded its state verbatim, so its
-/// mask is cleared.
-fn mv_span_tracked<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    span: ChunkSpan<'_>,
-    flags: &mut [u32],
-    depth: f32,
-    slimwork: bool,
-    mask: Option<&VertexMask>,
-) -> (bool, u64, u64, usize)
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    let ChunkSpan { c0, x, g, p, d } = span;
-    let mut acc = (false, 0u64, 0u64, 0usize);
-    let per_chunk = x
-        .chunks_mut(C)
-        .zip(g.chunks_mut(C))
-        .zip(p.chunks_mut(C))
-        .zip(d.chunks_mut(C))
-        .zip(flags.iter_mut());
-    for (k, ((((nx, ng), np), dd), flag)) in per_chunk.enumerate() {
-        let i = c0 + k;
-        let (c, steps, arcs, skip) = do_chunk::<M, S, C>(
-            matrix,
-            cur,
-            i,
-            (&mut *nx, &mut *ng, &mut *np, &mut *dd),
-            depth,
-            slimwork,
-            mask,
-        );
-        // The exact per-lane compare (mask != 0 ⟺ state_changed) names
-        // the rows dependents must actually re-gather.
-        *flag = if skip == 0 { S::state_changed_mask::<C>(cur, i * C, nx, ng, np) } else { 0 };
-        acc.0 |= c;
-        acc.1 += steps;
-        acc.2 += arcs;
-        acc.3 += skip;
-    }
-    acc
-}
-
-/// One frontier expansion over all chunks (full sweep, no tiling).
-/// With `track`, each chunk's exact changed flag is recorded and the
-/// pending seed list rebuilt from the flags (in chunk order —
-/// deterministic at any thread count), maintaining the worklist
-/// re-seeding invariant through adaptive mode's full iterations.
+/// One frontier expansion over `set`: the span runner. Each chunk runs
+/// [`do_chunk`] on its slots of the next state vectors and the distance
+/// vector; with `masks`, it also records the chunk's exact bit-wise
+/// changed lane mask (a skipped chunk forwarded its state verbatim, so
+/// its mask stays 0).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn iterate<M, S, const C: usize>(
+fn iterate<M, S, const C: usize>(
     matrix: &M,
     cur: &StateVecs,
     nxt: &mut StateVecs,
     d: &mut [f32],
     depth: f32,
     opts: &BfsOptions,
-    scratch: &mut EngineScratch,
-    track: bool,
+    set: ChunkSet<'_>,
+    full: &ChunkTiling,
+    masks: Option<&mut Vec<u32>>,
 ) -> IterStats
 where
     M: ChunkMatrix<C>,
     S: Semiring,
 {
-    let s = matrix.structure();
-    let nc = s.num_chunks();
-    let slimwork = opts.slimwork;
-    let mask = opts.mask.as_deref();
-    // At 1 effective thread the tiling is one span over everything, run
-    // inline — the sequential oracle path.
-    let EngineScratch { tiling: tiling_slot, full_changed, pending, .. } = scratch;
-    let tiling = cached_full_tiling(tiling_slot, nc, opts.config.schedule);
-    let (changed, col_steps, active_cells, skipped);
-    let mut changed_chunks = 0;
-    if track {
-        full_changed.clear();
-        full_changed.resize(nc, 0);
-        let spans: Vec<_> = tiling
-            .split_spans::<C>(nxt, d)
-            .into_iter()
-            .zip(tiling.split(1, full_changed))
-            .collect();
-        (changed, col_steps, active_cells, skipped) = tiling.map_reduce(
-            spans,
-            |(span, flags)| {
-                mv_span_tracked::<M, S, C>(matrix, cur, span, flags.data, depth, slimwork, mask)
-            },
-            || (false, 0, 0, 0),
-            |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-        );
-        pending.clear();
-        pending.extend(
-            full_changed.iter().enumerate().filter(|(_, &f)| f != 0).map(|(i, &f)| (i as u32, f)),
-        );
-        changed_chunks = pending.len();
-    } else {
-        let spans = tiling.split_spans::<C>(nxt, d);
-        (changed, col_steps, active_cells, skipped) = tiling.map_reduce(
-            spans,
-            |span| mv_span::<M, S, C>(matrix, cur, span, depth, slimwork, mask),
-            || (false, 0, 0, 0),
-            |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-        );
-    }
-    IterStats {
-        elapsed: Default::default(),
-        sweep_mode: ExecutedSweep::Full,
-        chunks_processed: nc - skipped,
-        chunks_skipped: skipped,
-        chunks_not_on_worklist: 0,
-        worklist_len: nc,
-        activations: 0,
-        changed_chunks,
-        col_steps,
-        cells: col_steps * C as u64,
-        active_cells,
-        changed,
-        ..Default::default()
-    }
-}
-
-/// Runs the MV + post-processing over one worklist tile, sequentially
-/// within the tile, recording the exact per-chunk changed lane masks
-/// the next worklist is seeded from. Returns (changed, column steps,
-/// active cells, skipped).
-fn wl_span<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    span: WorklistSpan<'_>,
-    depth: f32,
-    slimwork: bool,
-    mask: Option<&VertexMask>,
-) -> (bool, u64, u64, usize)
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    let WorklistSpan { first_pos: _, ids, x, g, p, d, changed } = span;
-    let base0 = ids[0] as usize * C;
-    let mut acc = (false, 0u64, 0u64, 0usize);
-    for (k, &id) in ids.iter().enumerate() {
-        let i = id as usize;
-        let off = i * C - base0;
-        // Same per-chunk body as the full sweep (do_chunk: mask and
-        // SlimWork tests + copy_forward, or MV + post-processing) so
-        // the two modes cannot drift apart.
-        let (c, steps, arcs, skip) = do_chunk::<M, S, C>(
-            matrix,
-            cur,
-            i,
-            (
-                &mut x[off..off + C],
-                &mut g[off..off + C],
-                &mut p[off..off + C],
-                &mut d[off..off + C],
-            ),
-            depth,
-            slimwork,
-            mask,
-        );
-        // A skipped chunk forwarded its state verbatim — its mask
-        // stays 0; otherwise record the exact per-lane change for
-        // seeding (and lane-filtering) the next worklist.
-        if skip == 0 {
-            changed[k] = S::state_changed_mask::<C>(
-                cur,
-                i * C,
-                &x[off..off + C],
-                &g[off..off + C],
-                &p[off..off + C],
-            );
-        }
-        acc.0 |= c;
-        acc.1 += steps;
-        acc.2 += arcs;
-        acc.3 += skip;
-    }
-    acc
-}
-
-/// One frontier expansion over the active worklist only: sweeps the
-/// already-seeded worklist (seeding is the policy layer's job in
-/// [`step`], so adaptive mode can inspect the worklist length before
-/// committing) in disjoint tiles and harvests the exactly-changed
-/// chunks as the next iteration's seeds. Cost is proportional to the
-/// worklist, not the chunk range.
-pub(crate) fn iterate_worklist<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    nxt: &mut StateVecs,
-    d: &mut [f32],
-    depth: f32,
-    opts: &BfsOptions,
-    scratch: &mut EngineScratch,
-) -> IterStats
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    let s = matrix.structure();
-    let nc = s.num_chunks();
-    let slimwork = opts.slimwork;
-    let mask = opts.mask.as_deref();
-    let EngineScratch { act, pending, .. } = scratch;
-    let (ids, flags) = act.split();
-    let wl_len = ids.len();
-    let tiling = WorklistTiling::new(ids, opts.config.schedule);
-    let spans = tiling.split_spans::<C>(nxt, d, flags);
-    let (changed, col_steps, active_cells, skipped) = tiling.map_reduce(
-        spans,
-        |span| wl_span::<M, S, C>(matrix, cur, span, depth, slimwork, mask),
-        || (false, 0, 0, 0),
+    let (slimwork, mask) = (opts.slimwork, opts.mask.as_deref());
+    let (changed, col_steps, active_cells, skipped) = set.sweep(
+        full,
+        C,
+        [&mut nxt.x[..], &mut nxt.g[..], &mut nxt.p[..], d],
+        masks,
+        |_, i, [nx, ng, np, dd], flag| {
+            let out = (&mut *nx, &mut *ng, &mut *np, dd);
+            let (c, steps, arcs, skip) =
+                do_chunk::<M, S, C>(matrix, cur, i, out, depth, slimwork, mask);
+            if let (Some(f), 0) = (flag, skip) {
+                *f = S::state_changed_mask::<C>(cur, i * C, nx, ng, np);
+            }
+            (c, steps, arcs, skip)
+        },
         |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
     );
-    let changed_chunks = act.collect_changed_into(pending);
     IterStats {
-        elapsed: Default::default(),
-        sweep_mode: ExecutedSweep::Worklist,
-        chunks_processed: wl_len - skipped,
-        chunks_skipped: skipped,
-        chunks_not_on_worklist: nc - wl_len,
-        worklist_len: wl_len,
-        activations: 0, // recorded by the policy layer that seeded
-        changed_chunks,
         col_steps,
         cells: col_steps * C as u64,
         active_cells,
         changed,
-        ..Default::default()
+        ..IterStats::visited(&set, matrix.structure().num_chunks(), skipped)
     }
 }
 
@@ -732,6 +497,7 @@ mod tests {
     use super::*;
     use crate::matrix::{SellCSigma, SlimSellMatrix};
     use crate::semiring::{BooleanSemiring, RealSemiring, SelMaxSemiring, TropicalSemiring};
+    use crate::sweep::ExecutedSweep;
     use slimsell_graph::{serial_bfs, validate_parents, CsrGraph, GraphBuilder};
 
     fn sample() -> CsrGraph {

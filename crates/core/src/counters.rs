@@ -9,6 +9,7 @@
 use std::time::Duration;
 
 use crate::sweep::ExecutedSweep;
+use crate::tiling::ChunkSet;
 
 /// Statistics for one BFS iteration (one frontier expansion).
 ///
@@ -87,6 +88,23 @@ pub struct IterStats {
     pub frontier_probes: u64,
     /// Whether any output changed (frontier non-empty).
     pub changed: bool,
+}
+
+impl IterStats {
+    /// The visit accounting of one sweep over `set` (out of `nc`
+    /// chunks) in which `skipped` visited chunks were skipped: sweep
+    /// tag, visited/processed/skipped and not-on-worklist counts. The
+    /// kernels fill in their work counters on top.
+    pub(crate) fn visited(set: &ChunkSet<'_>, nc: usize, skipped: usize) -> Self {
+        Self {
+            sweep_mode: set.executed(),
+            worklist_len: set.len(),
+            chunks_processed: set.len() - skipped,
+            chunks_skipped: skipped,
+            chunks_not_on_worklist: nc - set.len(),
+            ..Self::default()
+        }
+    }
 }
 
 /// Statistics for a whole BFS run.

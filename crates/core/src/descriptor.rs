@@ -271,46 +271,10 @@ where
                     depth as f32,
                     &opts,
                     &mut scratch,
+                    track_wl,
                 );
                 drop(opts); // release the Arc so the mask update below stays in place
-                let next: Vec<u32> = if it.sweep_mode == ExecutedSweep::Worklist {
-                    // Harvested pending = changed chunks with per-lane
-                    // change masks, ascending; walk the set bits (see
-                    // crate::dirop for the oracle form of this
-                    // recovery).
-                    let mut out = Vec::new();
-                    for &(id, lanes) in &scratch.pending {
-                        it.frontier_probes += u64::from(lanes.count_ones());
-                        let lo = id as usize * C;
-                        let mut rest = lanes;
-                        while rest != 0 {
-                            let l = rest.trailing_zeros() as usize;
-                            rest &= rest - 1;
-                            let v = lo + l;
-                            debug_assert!(v < n && nxt.x[v] != cur.x[v]);
-                            out.push(v as u32);
-                        }
-                    }
-                    out
-                } else {
-                    it.frontier_probes += n as u64;
-                    let (nxt_x, cur_x) = (&nxt.x, &cur.x);
-                    let tiling = ChunkTiling::new(n, Schedule::Dynamic);
-                    tiling.map_reduce(
-                        tiling.ranges().to_vec(),
-                        |(v0, v1)| {
-                            (v0..v1)
-                                .filter(|&v| nxt_x[v] != cur_x[v])
-                                .map(|v| v as u32)
-                                .collect::<Vec<_>>()
-                        },
-                        Vec::new,
-                        |mut a, mut b| {
-                            a.append(&mut b);
-                            a
-                        },
-                    )
-                };
+                let next = bottom_up_frontier::<C>(&mut it, &scratch.pending, &cur.x, &nxt.x, n);
                 std::mem::swap(&mut cur, &mut nxt);
                 frontier_edges = next.iter().map(|&w| s.row_len(w as usize) as u64).sum();
                 frontier = next;
@@ -338,6 +302,52 @@ where
         })
         .collect();
     DirOptOutput { bfs: BfsOutput { dist, parent: None, stats }, modes }
+}
+
+/// Recovers the sparse frontier after a bottom-up step, in ascending
+/// vertex order, and charges its lane probes to `it.frontier_probes` —
+/// shared by [`run_descriptor`] and [`crate::dirop::run_diropt`]. The
+/// scan follows the sweep the step actually ran (`it.sweep_mode`), not
+/// the configured policy: an adaptive step may have swept either way.
+///
+/// After a worklist sweep the harvested `pending` list holds exactly
+/// the changed chunks with their per-lane change masks (tropical change
+/// mask ⟺ `nxt_x ≠ cur_x`), in ascending chunk order, so walking its set
+/// bits yields the frontier at one probe per discovered vertex. After a
+/// full sweep every vertex is probed, in parallel over contiguous vertex
+/// ranges whose ordered merge keeps the frontier sorted.
+pub(crate) fn bottom_up_frontier<const C: usize>(
+    it: &mut IterStats,
+    pending: &[(u32, u32)],
+    cur_x: &[f32],
+    nxt_x: &[f32],
+    n: usize,
+) -> Vec<u32> {
+    if it.sweep_mode == ExecutedSweep::Worklist {
+        let mut out = Vec::new();
+        for &(id, lanes) in pending {
+            it.frontier_probes += u64::from(lanes.count_ones());
+            let mut rest = lanes;
+            while rest != 0 {
+                let v = id as usize * C + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                debug_assert!(v < n && nxt_x[v] != cur_x[v]);
+                out.push(v as u32);
+            }
+        }
+        return out;
+    }
+    it.frontier_probes += n as u64;
+    let tiling = ChunkTiling::new(n, Schedule::Dynamic);
+    tiling.map_reduce(
+        tiling.ranges().to_vec(),
+        |(v0, v1)| (v0..v1).filter(|&v| nxt_x[v] != cur_x[v]).map(|v| v as u32).collect::<Vec<_>>(),
+        Vec::new,
+        |mut a, mut b| {
+            a.append(&mut b);
+            a
+        },
+    )
 }
 
 #[cfg(test)]

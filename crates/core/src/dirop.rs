@@ -23,10 +23,9 @@ use slimsell_graph::{VertexId, UNREACHABLE};
 
 use crate::bfs::{step, BfsOptions, BfsOutput, EngineScratch, Schedule};
 use crate::counters::{IterStats, RunStats};
+use crate::descriptor::bottom_up_frontier;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{Semiring, StateVecs, TropicalSemiring};
-use crate::sweep::ExecutedSweep;
-use crate::tiling::ChunkTiling;
 
 /// Which direction an iteration executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,58 +184,11 @@ where
                     depth as f32,
                     &opts.spmv,
                     &mut scratch,
+                    track_wl,
                 );
-                // Recover the new frontier (changed entries) for the
-                // heuristic and a possible switch back to top-down. The
-                // scan range follows the dispatcher the step actually
-                // ran (it.sweep_mode), not the configured policy — an
-                // adaptive step may have swept either way.
-                let next: Vec<u32> = if it.sweep_mode == ExecutedSweep::Worklist {
-                    // The harvested pending list holds exactly the
-                    // changed chunks with their per-lane change masks
-                    // (tropical change mask ⟺ nxt.x ≠ cur.x), in
-                    // ascending chunk order — walking its set bits
-                    // yields the same frontier as rescanning every
-                    // lane of every worklist chunk, at one probe per
-                    // discovered vertex.
-                    let mut out = Vec::new();
-                    for &(id, lanes) in &scratch.pending {
-                        it.frontier_probes += u64::from(lanes.count_ones());
-                        let lo = id as usize * C;
-                        let mut rest = lanes;
-                        while rest != 0 {
-                            let l = rest.trailing_zeros() as usize;
-                            rest &= rest - 1;
-                            let v = lo + l;
-                            debug_assert!(v < n && nxt.x[v] != cur.x[v]);
-                            out.push(v as u32);
-                        }
-                    }
-                    out
-                } else {
-                    // Parallel over contiguous vertex ranges; the
-                    // ordered range merge keeps the frontier sorted
-                    // exactly like the sequential scan. A full sweep
-                    // leaves no change-mask trail, so every vertex is
-                    // probed.
-                    it.frontier_probes += n as u64;
-                    let (nxt_x, cur_x) = (&nxt.x, &cur.x);
-                    let tiling = ChunkTiling::new(n, Schedule::Dynamic);
-                    tiling.map_reduce(
-                        tiling.ranges().to_vec(),
-                        |(v0, v1)| {
-                            (v0..v1)
-                                .filter(|&v| nxt_x[v] != cur_x[v])
-                                .map(|v| v as u32)
-                                .collect::<Vec<_>>()
-                        },
-                        Vec::new,
-                        |mut a, mut b| {
-                            a.append(&mut b);
-                            a
-                        },
-                    )
-                };
+                // Recover the new frontier for the heuristic and a
+                // possible switch back to top-down.
+                let next = bottom_up_frontier::<C>(&mut it, &scratch.pending, &cur.x, &nxt.x, n);
                 std::mem::swap(&mut cur, &mut nxt);
                 frontier_edges = next.iter().map(|&w| s.row_len(w as usize) as u64).sum();
                 frontier = next;

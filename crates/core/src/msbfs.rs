@@ -28,8 +28,9 @@
 //! SlimWork analogue (skip a chunk when all `C·B` values are finite —
 //! hop distances never improve once finite) applies in every mode.
 //!
-//! Each sweep runs tile-parallel over [`crate::tiling`] chunk tiles
-//! (`C·B` values per chunk) or worklist slabs, writing disjoint slabs;
+//! Each sweep runs tile-parallel over the
+//! [`ChunkSet`](crate::tiling::ChunkSet) the sweep policy picked (`C·B`
+//! values per chunk), writing disjoint slabs;
 //! outputs are bit-identical at any thread count and in every sweep
 //! mode.
 //!
@@ -60,8 +61,8 @@ use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::slice_bits_differ;
-use crate::sweep::{resolve_sweep, AdaptiveController, ExecutedSweep, SweepConfig, SweepMode};
-use crate::tiling::{ChunkTiling, Schedule, WorklistTiling};
+use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::tiling::{ChunkTiling, Schedule};
 use crate::worklist::{full_lane_mask, ActivationState};
 
 /// Multi-source BFS options: sweep strategy, scheduling and an
@@ -314,8 +315,11 @@ where
     let mut act = ActivationState::new();
     let mut ctl = AdaptiveController::new();
     let mut pending: Vec<(u32, u32)> = Vec::new();
-    let mut full_changed: Vec<u32> = Vec::new();
-    if opts.config.sweep.uses_worklist() {
+    let mut masks: Vec<u32> = Vec::new();
+    // Worklist-capable modes record every sweep's change masks: the
+    // harvest seeds the next worklist (see `crate::bfs::step`).
+    let record = opts.config.sweep.uses_worklist();
+    if record {
         // Only the root rows differ from the all-∞ rest state, so only
         // chunks gathering a root's row lane can produce a different
         // output. Duplicate root chunks merge their lane masks in
@@ -325,8 +329,6 @@ where
             pending.push(((rp / C) as u32, 1u32 << (rp % C)));
         }
     }
-    // Adaptive full sweeps must track changes to re-seed the worklist.
-    let track = opts.config.sweep == SweepMode::Adaptive;
 
     let mut stats = RunStats::default();
     let max_iters = opts.max_iterations.unwrap_or(n + 1);
@@ -338,128 +340,40 @@ where
         }
         iterations += 1;
         let t0 = Instant::now();
-        // Short-circuit before touching `dep_graph()`: pure full-sweep
-        // runs must not force the lazy dependency-graph build.
-        let (exec, seeded) = match opts.config.sweep {
-            SweepMode::Full => (ExecutedSweep::Full, None),
-            _ => resolve_sweep(
-                opts.config.sweep,
-                &mut ctl,
-                &mut act,
-                s.dep_graph(),
-                &mut pending,
-                nc,
-                mask,
-            ),
-        };
+        let (set, seeded) = resolve_sweep(
+            opts.config.sweep,
+            &mut ctl,
+            &mut act,
+            || s.dep_graph(),
+            &mut pending,
+            nc,
+            mask,
+        );
         let cur_ref = &cur;
-        let (changed, col_steps, active_cells, skipped, wl_len, changed_chunks);
-        match exec {
-            ExecutedSweep::Full if track => {
-                full_changed.clear();
-                full_changed.resize(nc, 0);
-                let tiles: Vec<_> = tiling
-                    .split(C * B, &mut nxt)
-                    .into_iter()
-                    .zip(tiling.split(1, &mut full_changed))
-                    .collect();
-                (changed, col_steps, active_cells, skipped) = tiling.map_reduce(
-                    tiles,
-                    |(t, f)| {
-                        let mut acc = (false, 0u64, 0u64, 0usize);
-                        for (k, (out, flag)) in
-                            t.data.chunks_mut(C * B).zip(f.data.iter_mut()).enumerate()
-                        {
-                            let (mask, steps, arcs, skip) =
-                                ms_chunk::<M, C, B>(matrix, cur_ref, t.c0 + k, out, mask);
-                            *flag = mask;
-                            acc.0 |= mask != 0;
-                            acc.1 += steps;
-                            acc.2 += arcs;
-                            acc.3 += skip;
-                        }
-                        acc
-                    },
-                    || (false, 0, 0, 0),
-                    |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-                );
-                pending.clear();
-                pending.extend(
-                    full_changed
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &f)| f != 0)
-                        .map(|(i, &f)| (i as u32, f)),
-                );
-                wl_len = nc;
-                changed_chunks = pending.len();
-            }
-            ExecutedSweep::Full => {
-                let tiles = tiling.split(C * B, &mut nxt);
-                (changed, col_steps, active_cells, skipped) = tiling.map_reduce(
-                    tiles,
-                    |t| {
-                        let mut acc = (false, 0u64, 0u64, 0usize);
-                        for (k, out) in t.data.chunks_mut(C * B).enumerate() {
-                            let (mask, steps, arcs, skip) =
-                                ms_chunk::<M, C, B>(matrix, cur_ref, t.c0 + k, out, mask);
-                            acc.0 |= mask != 0;
-                            acc.1 += steps;
-                            acc.2 += arcs;
-                            acc.3 += skip;
-                        }
-                        acc
-                    },
-                    || (false, 0, 0, 0),
-                    |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-                );
-                wl_len = nc;
-                changed_chunks = 0;
-            }
-            ExecutedSweep::Worklist => {
-                let (ids, flags) = act.split();
-                wl_len = ids.len();
-                let wt = WorklistTiling::new(ids, opts.config.schedule);
-                let slabs = wt.split_slab(C * B, &mut nxt, flags);
-                (changed, col_steps, active_cells, skipped) = wt.map_reduce(
-                    slabs,
-                    |sl| {
-                        let base0 = sl.ids[0] as usize * (C * B);
-                        let mut acc = (false, 0u64, 0u64, 0usize);
-                        for (k, &id) in sl.ids.iter().enumerate() {
-                            let i = id as usize;
-                            let off = i * (C * B) - base0;
-                            let out = &mut sl.data[off..off + C * B];
-                            let (mask, steps, arcs, skip) =
-                                ms_chunk::<M, C, B>(matrix, cur_ref, i, out, mask);
-                            sl.changed[k] = mask;
-                            acc.0 |= mask != 0;
-                            acc.1 += steps;
-                            acc.2 += arcs;
-                            acc.3 += skip;
-                        }
-                        acc
-                    },
-                    || (false, 0, 0, 0),
-                    |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-                );
-                changed_chunks = act.collect_changed_into(&mut pending);
-            }
-        }
+        let (changed, col_steps, active_cells, skipped) = set.sweep(
+            &tiling,
+            C * B,
+            [&mut nxt[..]],
+            record.then_some(&mut masks),
+            |_, i, [out], flag| {
+                let (lanes, steps, arcs, skip) = ms_chunk::<M, C, B>(matrix, cur_ref, i, out, mask);
+                if let Some(f) = flag {
+                    *f = lanes;
+                }
+                (lanes != 0, steps, arcs, skip)
+            },
+            |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
+        );
+        let changed_chunks = if record { set.harvest(&masks, &mut pending) } else { 0 };
         stats.iters.push(IterStats {
             elapsed: t0.elapsed(),
-            sweep_mode: exec,
-            chunks_processed: wl_len - skipped,
-            chunks_skipped: skipped,
-            chunks_not_on_worklist: nc - wl_len,
-            worklist_len: wl_len,
             activations: seeded.unwrap_or(0),
             changed_chunks,
             col_steps,
             cells: col_steps * (C * B) as u64,
             active_cells,
             changed,
-            ..Default::default()
+            ..IterStats::visited(&set, nc, skipped)
         });
         std::mem::swap(&mut cur, &mut nxt);
         if !changed {
@@ -493,6 +407,7 @@ where
 mod tests {
     use super::*;
     use crate::matrix::SlimSellMatrix;
+    use crate::sweep::ExecutedSweep;
     use slimsell_gen::kronecker::{kronecker, KroneckerParams};
     use slimsell_graph::{serial_bfs, GraphBuilder};
 

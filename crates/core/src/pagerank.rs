@@ -26,8 +26,9 @@
 //! counts are bit-identical in every sweep mode and at any thread
 //! count.
 //!
-//! Both the pre-scale and the SpMV run tile-parallel over
-//! [`crate::tiling`] chunk tiles writing disjoint slabs. The L1
+//! The pre-scale pass is a full-range [`ChunkSet`] sweep, the SpMV a
+//! sweep over whichever set the policy picked, and the output pass a
+//! plain chunk-tiled loop; all write disjoint slabs. The L1
 //! residual is made thread-count-independent by accumulating one
 //! partial per chunk (fixed lane order) into a side slab and summing
 //! that slab sequentially in chunk order — scores and residuals are
@@ -54,8 +55,8 @@ use slimsell_simd::{SimdF32, SimdI32};
 use crate::counters::{IterStats, RunStats};
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{RealSemiring, Semiring};
-use crate::sweep::{resolve_sweep, AdaptiveController, ExecutedSweep, SweepConfig, SweepMode};
-use crate::tiling::{ChunkTiling, Schedule, WorklistTiling};
+use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::tiling::{ChunkSet, ChunkTiling, Schedule};
 use crate::worklist::ActivationState;
 
 /// PageRank options.
@@ -192,7 +193,7 @@ where
     // Which lanes of which chunks of `y` changed bit-wise this
     // iteration (the SpMV worklist seeds, one lane mask per chunk),
     // rebuilt by the pre-scale pass every iteration.
-    let mut y_changed = vec![0u32; nc];
+    let mut y_changed: Vec<u32> = Vec::new();
     let mut pending: Vec<(u32, u32)> = Vec::new();
     let mut act = ActivationState::new();
     let mut ctl = AdaptiveController::new();
@@ -211,114 +212,60 @@ where
         // fixed-order sum: deterministic).
         let dangling: f32 = (0..n).filter(|&v| deg[v] == 0.0).map(|v| x[v]).sum();
         let base_mass = (1.0 - d) / n as f32 + d * dangling / n as f32;
-        // Pre-scale pass: y = x / deg, disjoint chunk tiles of y —
-        // with per-chunk bit-exact change flags for the SpMV worklist
-        // when a worklist-capable mode is active; pure full-sweep runs
-        // never pay for change detection.
-        let changed_chunks;
-        if track {
-            let (x_ref, inv_ref) = (&x, &inv_deg);
-            let tiles: Vec<_> =
-                tiling.split(C, &mut y).into_iter().zip(tiling.split(1, &mut y_changed)).collect();
-            tiling.for_each(tiles, |(t, f)| {
-                let base = t.c0 * C;
-                for (k, (slot, flag)) in t.data.chunks_mut(C).zip(f.data.iter_mut()).enumerate() {
-                    let mut changed = 0u32;
-                    for (lane, yv) in slot.iter_mut().enumerate() {
-                        let v = base + k * C + lane;
-                        let new = x_ref[v] * inv_ref[v];
-                        if new.to_bits() != yv.to_bits() {
-                            changed |= 1u32 << (lane & 31);
-                        }
-                        *yv = new;
+        // Pre-scale pass: y = x / deg over the whole chunk range — with
+        // per-chunk bit-exact change masks for the SpMV worklist when a
+        // worklist-capable mode is active; pure full-sweep runs never
+        // pay for change detection.
+        let (x_ref, inv_ref) = (&x, &inv_deg);
+        let all = ChunkSet::All(nc);
+        all.sweep(
+            &tiling,
+            C,
+            [&mut y[..]],
+            track.then_some(&mut y_changed),
+            |_, i, [slot], flag| {
+                let mut changed = 0u32;
+                for (lane, yv) in slot.iter_mut().enumerate() {
+                    let new = x_ref[i * C + lane] * inv_ref[i * C + lane];
+                    if flag.is_some() && new.to_bits() != yv.to_bits() {
+                        changed |= 1u32 << (lane & 31);
                     }
-                    *flag = changed;
+                    *yv = new;
                 }
-            });
-            pending.clear();
-            pending.extend(
-                y_changed.iter().enumerate().filter(|(_, &f)| f != 0).map(|(i, &f)| (i as u32, f)),
-            );
-            changed_chunks = pending.len();
-        } else {
-            let (x_ref, inv_ref) = (&x, &inv_deg);
-            let tiles = tiling.split(C, &mut y);
-            tiling.for_each(tiles, |t| {
-                let base = t.c0 * C;
-                for (k, yv) in t.data.iter_mut().enumerate() {
-                    *yv = x_ref[base + k] * inv_ref[base + k];
+                if let Some(f) = flag {
+                    *f = changed;
                 }
-            });
-            changed_chunks = 0;
-        }
+            },
+            |(), ()| (),
+        );
+        let changed_chunks = if track { all.harvest(&y_changed, &mut pending) } else { 0 };
 
         // SpMV pass under the sweep policy: recompute the accumulator
         // for every chunk (full) or for the dependents of changed `y`
         // chunks only (worklist) — elsewhere the cached values are
-        // already bit-exact.
-        // Short-circuit before touching `dep_graph()`: pure full-sweep
-        // runs must not force the lazy dependency-graph build.
-        let (exec, seeded) = match opts.config.sweep {
-            SweepMode::Full => (ExecutedSweep::Full, None),
-            _ => resolve_sweep(
-                opts.config.sweep,
-                &mut ctl,
-                &mut act,
-                s.dep_graph(),
-                &mut pending,
-                nc,
-                None,
-            ),
-        };
+        // already bit-exact. The next seed list comes from the
+        // pre-scale pass's `y` compare, so this sweep records nothing.
+        let (set, seeded) = resolve_sweep(
+            opts.config.sweep,
+            &mut ctl,
+            &mut act,
+            || s.dep_graph(),
+            &mut pending,
+            nc,
+            None,
+        );
         let y_ref = &y;
-        let (col_steps, wl_len);
-        match exec {
-            ExecutedSweep::Full => {
-                let tiles = tiling.split(C, &mut acc);
-                col_steps = tiling.map_reduce(
-                    tiles,
-                    |t| {
-                        let mut steps = 0u64;
-                        for (k, slot) in t.data.chunks_mut(C).enumerate() {
-                            let i = t.c0 + k;
-                            spmv_chunk::<M, C>(matrix, y_ref, i).store(slot);
-                            steps += s.cl()[i] as u64;
-                        }
-                        steps
-                    },
-                    || 0,
-                    |a, b| a + b,
-                );
-                wl_len = nc;
-            }
-            ExecutedSweep::Worklist => {
-                // Unlike SSSP, the per-entry changed flags are unused:
-                // the next seed list comes from the pre-scale pass's
-                // `y` compare, not from harvesting sweep outputs. The
-                // slab is passed only to satisfy `split_slab`.
-                let (ids, flags) = act.split();
-                wl_len = ids.len();
-                let wt = WorklistTiling::new(ids, opts.config.schedule);
-                let slabs = wt.split_slab(C, &mut acc, flags);
-                col_steps = wt.map_reduce(
-                    slabs,
-                    |slab| {
-                        let base0 = slab.ids[0] as usize * C;
-                        let mut steps = 0u64;
-                        for &id in slab.ids {
-                            let i = id as usize;
-                            let off = i * C - base0;
-                            spmv_chunk::<M, C>(matrix, y_ref, i)
-                                .store(&mut slab.data[off..off + C]);
-                            steps += s.cl()[i] as u64;
-                        }
-                        steps
-                    },
-                    || 0,
-                    |a, b| a + b,
-                );
-            }
-        }
+        let col_steps = set.sweep(
+            &tiling,
+            C,
+            [&mut acc[..]],
+            None,
+            |_, i, [slot], _| {
+                spmv_chunk::<M, C>(matrix, y_ref, i).store(slot);
+                s.cl()[i] as u64
+            },
+            |a, b| a + b,
+        );
 
         // Output + residual pass: each tile owns its slab of `nxt` and
         // the matching slab of per-chunk residual partials. The
@@ -356,18 +303,12 @@ where
         std::mem::swap(&mut x, &mut nxt);
         stats.iters.push(IterStats {
             elapsed: t0.elapsed(),
-            sweep_mode: exec,
-            chunks_processed: wl_len,
-            chunks_skipped: 0,
-            chunks_not_on_worklist: nc - wl_len,
-            worklist_len: wl_len,
             activations: seeded.unwrap_or(0),
             changed_chunks,
             col_steps,
             cells: col_steps * C as u64,
-            active_cells: 0, // lane utilization is measured by the BFS family only
             changed: residual > opts.tolerance,
-            ..Default::default()
+            ..IterStats::visited(&set, nc, 0)
         });
     }
 
@@ -401,6 +342,7 @@ where
 mod tests {
     use super::*;
     use crate::matrix::SlimSellMatrix;
+    use crate::sweep::ExecutedSweep;
     use slimsell_gen::kronecker::{kronecker, KroneckerParams};
     use slimsell_graph::{CsrGraph, GraphBuilder};
 

@@ -9,14 +9,18 @@
 //! partial accumulators are merged with the semiring's `op1` (which is
 //! associative and commutative, making the split sound).
 //!
-//! The execution is two-phase: phase 1 computes every tile's partial
-//! accumulator into a task-indexed buffer (parallel over tiles); phase 2
-//! merges each chunk's partials, starting from the chunk's previous
-//! values, and runs the semiring post-processing (parallel over chunks).
+//! SlimChunk is a tiling strategy over the chunk set a sweep visits
+//! ([`ChunkSet`]: the whole range or the active worklist), so full and
+//! worklist sweeps share one code path. The execution is two-phase:
+//! phase 1 computes the partial accumulator of every vertical tile of
+//! the set's chunks into a task-indexed buffer (parallel over tasks);
+//! phase 2 sweeps the set, merging each chunk's partials, starting from
+//! the chunk's previous values, and running the semiring
+//! post-processing (parallel over chunks).
 //!
 //! Both phases follow the engine's tiled execution model
-//! ([`crate::tiling`]): the task/chunk ranges are partitioned into
-//! contiguous per-worker tiles whose output slabs are disjoint
+//! ([`crate::tiling`]): the task list and the chunk set are partitioned
+//! into contiguous per-worker tiles whose output slabs are disjoint
 //! `&mut [f32]` carved out with `split_at_mut`, with a sequential
 //! fallback at one effective thread.
 //!
@@ -37,13 +41,11 @@
 
 use slimsell_simd::{SimdF32, SimdI32};
 
-use crate::bfs::{cached_full_tiling, BfsOptions, EngineScratch};
+use crate::bfs::BfsOptions;
 use crate::counters::IterStats;
-use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{Semiring, StateVecs};
-use crate::sweep::ExecutedSweep;
-use crate::tiling::{ChunkSpan, ChunkTiling, WorklistSpan, WorklistTiling};
+use crate::tiling::{ChunkSet, ChunkTiling};
 use crate::worklist::full_lane_mask;
 
 /// Builds the vertical tile tasks for one chunk into `tasks`.
@@ -87,9 +89,7 @@ fn phase1<M, S, const C: usize>(
 /// post-processing. Under a partial vertex mask, masked-out lanes are
 /// blended back to their previous state before post-processing, so
 /// masked vertices stay exactly at rest (same contract as the untiled
-/// engine). Returns (advanced, column steps). The shared body of the
-/// full-sweep and worklist merge passes, so the two modes cannot drift
-/// apart.
+/// engine). Returns (advanced, column steps).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn merge_chunk<S, const C: usize>(
@@ -129,178 +129,28 @@ where
     (S::post_chunk(acc, cur, base, nx, ng, np, dd, depth), cl_i)
 }
 
-/// The full-sweep 2-D tiled iteration. With `track`, phase 2
-/// additionally records each chunk's exact bit-wise changed flag and
-/// rebuilds the pending seed list from the flags in chunk order —
-/// adaptive mode's tracked full sweep (see [`crate::sweep`]). One
-/// frontier expansion; all per-phase buffers (task list, per-chunk
-/// task offsets, skip flags, tile partials) live in the run-owned
-/// [`EngineScratch`] and are reused across iterations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn iterate_tiled_full<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    nxt: &mut StateVecs,
-    d: &mut [f32],
-    depth: f32,
-    opts: &BfsOptions,
-    tile_w: usize,
-    scratch: &mut EngineScratch,
-    track: bool,
-) -> IterStats
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    assert!(tile_w >= 1, "tile width must be at least 1");
-    let s = matrix.structure();
-    let nc = s.num_chunks();
-    let mask = opts.mask.as_deref();
-    let allowed_of =
-        |m: Option<&VertexMask>, i: usize| m.map_or_else(|| full_lane_mask(C), |m| m.allowed(i));
-    let EngineScratch { tiling, tasks, task_start, skip, partials, full_changed, pending, .. } =
-        scratch;
-
-    // Task list: (chunk, first column step, last column step). Fully
-    // masked chunks and SlimWork skips are applied here so skipped
-    // chunks generate no tiles at all.
-    tasks.clear();
-    task_start.clear();
-    task_start.resize(nc + 1, 0);
-    skip.clear();
-    skip.resize(nc, false);
-    let mut skipped = 0usize;
-    for i in 0..nc {
-        task_start[i] = tasks.len();
-        if mask.is_some_and(|m| m.allowed_real(i) == 0)
-            || (opts.slimwork && S::should_skip(cur, i * C..(i + 1) * C))
-        {
-            skip[i] = true;
-            skipped += 1;
-            continue;
-        }
-        push_tasks(tasks, i, s.cl()[i] as usize, tile_w);
-    }
-    task_start[nc] = tasks.len();
-
-    phase1::<M, S, C>(matrix, cur, tasks, partials, opts);
-
-    // Phase 2: merge partials per chunk and post-process, parallel over
-    // chunk-range tiles like the untiled engine.
-    let (task_start, skip, partials) = (&*task_start, &*skip, &*partials);
-    let merge_one = |i: usize, out: (&mut [f32], &mut [f32], &mut [f32], &mut [f32])| {
-        merge_chunk::<S, C>(
-            cur,
-            i,
-            s.cl()[i] as u64,
-            skip[i],
-            task_start[i]..task_start[i + 1],
-            partials,
-            out,
-            depth,
-            allowed_of(mask, i),
-        )
-    };
-    let tiling = cached_full_tiling(tiling, nc, opts.config.schedule);
-    let (changed, col_steps, active_cells);
-    let mut changed_chunks = 0;
-    if track {
-        full_changed.clear();
-        full_changed.resize(nc, 0);
-        let spans: Vec<_> = tiling
-            .split_spans::<C>(nxt, d)
-            .into_iter()
-            .zip(tiling.split(1, full_changed))
-            .collect();
-        (changed, col_steps, active_cells) = tiling.map_reduce(
-            spans,
-            |(span, flags)| {
-                let ChunkSpan { c0, x, g, p, d } = span;
-                let mut acc2 = (false, 0u64, 0u64);
-                let per_chunk = x
-                    .chunks_mut(C)
-                    .zip(g.chunks_mut(C))
-                    .zip(p.chunks_mut(C))
-                    .zip(d.chunks_mut(C))
-                    .zip(flags.data.iter_mut());
-                for (k, ((((nx, ng), np), dd), flag)) in per_chunk.enumerate() {
-                    let i = c0 + k;
-                    let (adv, steps) = merge_one(i, (&mut *nx, &mut *ng, &mut *np, &mut *dd));
-                    // A skipped chunk forwarded its state verbatim;
-                    // otherwise record the exact per-lane change mask
-                    // (mask != 0 ⟺ the chunk's state changed).
-                    *flag = if skip[i] {
-                        0
-                    } else {
-                        acc2.2 += s.chunk_arcs()[i];
-                        S::state_changed_mask::<C>(cur, i * C, nx, ng, np)
-                    };
-                    acc2.0 |= adv;
-                    acc2.1 += steps;
-                }
-                acc2
-            },
-            || (false, 0, 0),
-            |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
-        );
-        pending.clear();
-        pending.extend(
-            full_changed.iter().enumerate().filter(|(_, &f)| f != 0).map(|(i, &f)| (i as u32, f)),
-        );
-        changed_chunks = pending.len();
-    } else {
-        let merge_span = |span: ChunkSpan<'_>| -> (bool, u64, u64) {
-            let mut acc2 = (false, 0u64, 0u64);
-            let per_chunk = span
-                .x
-                .chunks_mut(C)
-                .zip(span.g.chunks_mut(C))
-                .zip(span.p.chunks_mut(C))
-                .zip(span.d.chunks_mut(C));
-            for (k, (((nx, ng), np), dd)) in per_chunk.enumerate() {
-                let i = span.c0 + k;
-                let (adv, steps) = merge_one(i, (nx, ng, np, dd));
-                if !skip[i] {
-                    acc2.2 += s.chunk_arcs()[i];
-                }
-                acc2.0 |= adv;
-                acc2.1 += steps;
-            }
-            acc2
-        };
-        let spans = tiling.split_spans::<C>(nxt, d);
-        (changed, col_steps, active_cells) = tiling.map_reduce(
-            spans,
-            merge_span,
-            || (false, 0, 0),
-            |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
-        );
-    }
-
-    IterStats {
-        elapsed: Default::default(),
-        sweep_mode: ExecutedSweep::Full,
-        chunks_processed: nc - skipped,
-        chunks_skipped: skipped,
-        chunks_not_on_worklist: 0,
-        worklist_len: nc,
-        activations: 0,
-        changed_chunks,
-        col_steps,
-        cells: col_steps * C as u64,
-        active_cells,
-        changed,
-        ..Default::default()
-    }
+/// SlimChunk's per-phase buffers, owned by the run's engine scratch and
+/// reused across iterations.
+#[derive(Default)]
+pub(crate) struct TaskBuffers {
+    /// Task list: (chunk id, first column step, last column step).
+    tasks: Vec<(usize, usize, usize)>,
+    /// Per-position task-range offsets (one past each set position).
+    task_start: Vec<usize>,
+    /// Per-position mask / SlimWork skip flags.
+    skip: Vec<bool>,
+    /// Tile partial accumulators (`tasks.len() * C`).
+    partials: Vec<f32>,
 }
 
-/// The worklist 2-D tiled iteration: tasks are generated for worklist
-/// chunks only, phase 2 runs over worklist tiles and records the exact
-/// per-chunk changed flags, and the next pending seed list is
-/// harvested from them. The worklist itself was already seeded by the
-/// policy layer ([`crate::bfs::step`]).
+/// The 2-D tiled iteration over one [`ChunkSet`] (the whole range or
+/// the worklist the policy layer seeded in [`crate::bfs::step`]): tasks
+/// are generated for the set's chunks only, phase 2 sweeps the set and,
+/// with `masks`, records each chunk's exact bit-wise changed lane mask
+/// for the harvest. One frontier expansion; all per-phase buffers live
+/// in `bufs` and are reused across iterations.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn iterate_tiled_worklist<M, S, const C: usize>(
+pub(crate) fn iterate_tiled<M, S, const C: usize>(
     matrix: &M,
     cur: &StateVecs,
     nxt: &mut StateVecs,
@@ -308,7 +158,10 @@ pub(crate) fn iterate_tiled_worklist<M, S, const C: usize>(
     depth: f32,
     opts: &BfsOptions,
     tile_w: usize,
-    scratch: &mut EngineScratch,
+    set: ChunkSet<'_>,
+    full: &ChunkTiling,
+    masks: Option<&mut Vec<u32>>,
+    bufs: &mut TaskBuffers,
 ) -> IterStats
 where
     M: ChunkMatrix<C>,
@@ -316,107 +169,60 @@ where
 {
     assert!(tile_w >= 1, "tile width must be at least 1");
     let s = matrix.structure();
-    let nc = s.num_chunks();
     let mask = opts.mask.as_deref();
-    let allowed_of =
-        |m: Option<&VertexMask>, i: usize| m.map_or_else(|| full_lane_mask(C), |m| m.allowed(i));
-    let EngineScratch { act, pending, tasks, task_start, skip, partials, .. } = scratch;
+    let TaskBuffers { tasks, task_start, skip, partials } = bufs;
 
-    let (ids, flags) = act.split();
-    let wl_len = ids.len();
-
-    // Task list over worklist positions (side tables are
-    // position-indexed, parallel to the worklist).
+    // Task list over set positions. Fully masked chunks and SlimWork
+    // skips are applied here so skipped chunks generate no tiles at all.
     tasks.clear();
     task_start.clear();
-    task_start.resize(wl_len + 1, 0);
     skip.clear();
-    skip.resize(wl_len, false);
-    let mut skipped = 0usize;
-    for (k, &id) in ids.iter().enumerate() {
-        let i = id as usize;
-        task_start[k] = tasks.len();
-        if mask.is_some_and(|m| m.allowed_real(i) == 0)
-            || (opts.slimwork && S::should_skip(cur, i * C..(i + 1) * C))
-        {
-            skip[k] = true;
-            skipped += 1;
-            continue;
+    for pos in 0..set.len() {
+        let i = set.chunk(pos);
+        task_start.push(tasks.len());
+        let skipped = mask.is_some_and(|m| m.allowed_real(i) == 0)
+            || (opts.slimwork && S::should_skip(cur, i * C..(i + 1) * C));
+        skip.push(skipped);
+        if !skipped {
+            push_tasks(tasks, i, s.cl()[i] as usize, tile_w);
         }
-        push_tasks(tasks, i, s.cl()[i] as usize, tile_w);
     }
-    task_start[wl_len] = tasks.len();
+    task_start.push(tasks.len());
+    let skipped = skip.iter().filter(|&&k| k).count();
 
     phase1::<M, S, C>(matrix, cur, tasks, partials, opts);
 
-    // Phase 2 over worklist tiles.
+    // Phase 2: merge partials per chunk and post-process, one sweep
+    // over the set like the untiled engine.
     let (task_start, skip, partials) = (&*task_start, &*skip, &*partials);
-    let merge_span = |span: WorklistSpan<'_>| -> (bool, u64, u64) {
-        let WorklistSpan { first_pos, ids, x, g, p, d, changed } = span;
-        let base0 = ids[0] as usize * C;
-        let mut acc2 = (false, 0u64, 0u64);
-        for (k, &id) in ids.iter().enumerate() {
-            let pos = first_pos + k;
-            let i = id as usize;
-            let off = i * C - base0;
-            let (adv, steps) = merge_chunk::<S, C>(
-                cur,
-                i,
-                s.cl()[i] as u64,
-                skip[pos],
-                task_start[pos]..task_start[pos + 1],
-                partials,
-                (
-                    &mut x[off..off + C],
-                    &mut g[off..off + C],
-                    &mut p[off..off + C],
-                    &mut d[off..off + C],
-                ),
-                depth,
-                allowed_of(mask, i),
-            );
-            // A skipped chunk's mask stays 0 (state forwarded
-            // verbatim); otherwise record the exact per-lane change
-            // mask for seeding (and lane-filtering) the next worklist.
-            if !skip[pos] {
-                acc2.2 += s.chunk_arcs()[i];
-                changed[k] = S::state_changed_mask::<C>(
-                    cur,
-                    i * C,
-                    &x[off..off + C],
-                    &g[off..off + C],
-                    &p[off..off + C],
-                );
+    let (changed, col_steps, active_cells) = set.sweep(
+        full,
+        C,
+        [&mut nxt.x[..], &mut nxt.g[..], &mut nxt.p[..], d],
+        masks,
+        |pos, i, [nx, ng, np, dd], flag| {
+            let allowed = mask.map_or_else(|| full_lane_mask(C), |m| m.allowed(i));
+            let tasks = task_start[pos]..task_start[pos + 1];
+            let out = (&mut *nx, &mut *ng, &mut *np, dd);
+            let cl_i = s.cl()[i] as u64;
+            let (adv, steps) =
+                merge_chunk::<S, C>(cur, i, cl_i, skip[pos], tasks, partials, out, depth, allowed);
+            if skip[pos] {
+                return (adv, steps, 0);
             }
-            acc2.0 |= adv;
-            acc2.1 += steps;
-        }
-        acc2
-    };
-    let tiling = WorklistTiling::new(ids, opts.config.schedule);
-    let spans = tiling.split_spans::<C>(nxt, d, flags);
-    let (changed, col_steps, active_cells) = tiling.map_reduce(
-        spans,
-        merge_span,
-        || (false, 0, 0),
+            if let Some(f) = flag {
+                *f = S::state_changed_mask::<C>(cur, i * C, nx, ng, np);
+            }
+            (adv, steps, s.chunk_arcs()[i])
+        },
         |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
     );
-
-    let changed_chunks = act.collect_changed_into(pending);
     IterStats {
-        elapsed: Default::default(),
-        sweep_mode: ExecutedSweep::Worklist,
-        chunks_processed: wl_len - skipped,
-        chunks_skipped: skipped,
-        chunks_not_on_worklist: nc - wl_len,
-        worklist_len: wl_len,
-        activations: 0, // recorded by the policy layer that seeded
-        changed_chunks,
         col_steps,
         cells: col_steps * C as u64,
         active_cells,
         changed,
-        ..Default::default()
+        ..IterStats::visited(&set, s.num_chunks(), skipped)
     }
 }
 

@@ -21,9 +21,10 @@
 //! default) the adaptive controller of [`crate::sweep`], with distances
 //! bit-identical in every mode.
 //!
-//! Each relaxation sweep runs tile-parallel over [`crate::tiling`]
-//! chunk tiles (full sweeps) or [`WorklistTiling`] slabs (worklist
-//! sweeps), writing disjoint slabs of the next label vector; the
+//! Each relaxation sweep runs tile-parallel over the
+//! [`ChunkSet`](crate::tiling::ChunkSet) the sweep policy picked (the
+//! whole chunk range or the worklist), writing disjoint slabs of the
+//! next label vector; the
 //! per-chunk min-plus math is independent of tile boundaries, so
 //! distances are bit-identical at any thread count.
 //!
@@ -50,8 +51,8 @@ use slimsell_simd::{SimdF32, SimdI32};
 use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::semiring::lanes_ne_bits;
-use crate::sweep::{resolve_sweep, AdaptiveController, ExecutedSweep, SweepConfig, SweepMode};
-use crate::tiling::{ChunkTiling, Schedule, WorklistTiling};
+use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::tiling::{ChunkTiling, Schedule};
 use crate::worklist::{full_lane_mask, ActivationState, ChunkDepGraph};
 
 /// Sell-C-σ with real-valued weights: structure arrays plus a weight
@@ -309,147 +310,54 @@ pub fn sssp_with<const C: usize>(
     let mut act = ActivationState::new();
     let mut ctl = AdaptiveController::new();
     let mut pending: Vec<(u32, u32)> = Vec::new();
-    let mut full_changed: Vec<u32> = Vec::new();
-    if opts.config.sweep.uses_worklist() {
+    let mut masks: Vec<u32> = Vec::new();
+    // Worklist-capable modes record every sweep's change masks: the
+    // harvest seeds the next worklist (see `crate::bfs::step`).
+    let record = opts.config.sweep.uses_worklist();
+    if record {
         // Only the root's label differs from +∞, so only dependents
         // gathering the root's lane can produce a different output.
         pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
     }
-    // Adaptive full sweeps must track changes to re-seed the worklist.
-    let track = opts.config.sweep == SweepMode::Adaptive;
 
     let mut stats = RunStats::default();
     let mut iterations = 0usize;
     loop {
         iterations += 1;
         let t0 = Instant::now();
-        // Short-circuit before touching `dep_graph()`: pure full-sweep
-        // runs must not force the lazy dependency-graph build.
-        let (exec, seeded) = match opts.config.sweep {
-            SweepMode::Full => (ExecutedSweep::Full, None),
-            _ => resolve_sweep(
-                opts.config.sweep,
-                &mut ctl,
-                &mut act,
-                m.dep_graph(),
-                &mut pending,
-                nc,
-                mask,
-            ),
-        };
+        let (set, seeded) = resolve_sweep(
+            opts.config.sweep,
+            &mut ctl,
+            &mut act,
+            || m.dep_graph(),
+            &mut pending,
+            nc,
+            mask,
+        );
         let cur_ref = &cur;
-        let (changed, col_steps, skipped, wl_len, changed_chunks);
-        match exec {
-            ExecutedSweep::Full if track => {
-                full_changed.clear();
-                full_changed.resize(nc, 0);
-                let tiles: Vec<_> = tiling
-                    .split(C, &mut nxt)
-                    .into_iter()
-                    .zip(tiling.split(1, &mut full_changed))
-                    .collect();
-                (changed, col_steps, skipped) = tiling.map_reduce(
-                    tiles,
-                    |(t, f)| {
-                        let mut acc = (false, 0u64, 0usize);
-                        for (k, (out, flag)) in
-                            t.data.chunks_mut(C).zip(f.data.iter_mut()).enumerate()
-                        {
-                            let i = t.c0 + k;
-                            let (adv, skip) = relax_chunk_masked(m, cur_ref, i, out, mask);
-                            acc.0 |= adv;
-                            *flag = lanes_ne_bits::<C>(&cur_ref[i * C..], out);
-                            if skip {
-                                acc.2 += 1;
-                            } else {
-                                acc.1 += m.cl[i] as u64;
-                            }
-                        }
-                        acc
-                    },
-                    || (false, 0, 0),
-                    |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
-                );
-                pending.clear();
-                pending.extend(
-                    full_changed
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &f)| f != 0)
-                        .map(|(i, &f)| (i as u32, f)),
-                );
-                wl_len = nc;
-                changed_chunks = pending.len();
-            }
-            ExecutedSweep::Full => {
-                let tiles = tiling.split(C, &mut nxt);
-                (changed, col_steps, skipped) = tiling.map_reduce(
-                    tiles,
-                    |t| {
-                        let mut acc = (false, 0u64, 0usize);
-                        for (k, out) in t.data.chunks_mut(C).enumerate() {
-                            let i = t.c0 + k;
-                            let (adv, skip) = relax_chunk_masked(m, cur_ref, i, out, mask);
-                            acc.0 |= adv;
-                            if skip {
-                                acc.2 += 1;
-                            } else {
-                                acc.1 += m.cl[i] as u64;
-                            }
-                        }
-                        acc
-                    },
-                    || (false, 0, 0),
-                    |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
-                );
-                wl_len = nc;
-                changed_chunks = 0;
-            }
-            ExecutedSweep::Worklist => {
-                let (ids, flags) = act.split();
-                wl_len = ids.len();
-                let wt = WorklistTiling::new(ids, opts.config.schedule);
-                let slabs = wt.split_slab(C, &mut nxt, flags);
-                (changed, col_steps, skipped) = wt.map_reduce(
-                    slabs,
-                    |s| {
-                        let base0 = s.ids[0] as usize * C;
-                        let mut acc = (false, 0u64, 0usize);
-                        for (k, &id) in s.ids.iter().enumerate() {
-                            let i = id as usize;
-                            let off = i * C - base0;
-                            let out = &mut s.data[off..off + C];
-                            let (adv, skip) = relax_chunk_masked(m, cur_ref, i, out, mask);
-                            acc.0 |= adv;
-                            s.changed[k] = lanes_ne_bits::<C>(&cur_ref[i * C..], out);
-                            if skip {
-                                acc.2 += 1;
-                            } else {
-                                acc.1 += m.cl[i] as u64;
-                            }
-                        }
-                        acc
-                    },
-                    || (false, 0, 0),
-                    |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
-                );
-                changed_chunks = act.collect_changed_into(&mut pending);
-            }
-        }
+        let (changed, col_steps, skipped) = set.sweep(
+            &tiling,
+            C,
+            [&mut nxt[..]],
+            record.then_some(&mut masks),
+            |_, i, [out], flag| {
+                let (adv, skip) = relax_chunk_masked(m, cur_ref, i, out, mask);
+                if let Some(f) = flag {
+                    *f = lanes_ne_bits::<C>(&cur_ref[i * C..], out);
+                }
+                (adv, if skip { 0 } else { m.cl[i] as u64 }, usize::from(skip))
+            },
+            |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
+        );
+        let changed_chunks = if record { set.harvest(&masks, &mut pending) } else { 0 };
         stats.iters.push(IterStats {
             elapsed: t0.elapsed(),
-            sweep_mode: exec,
-            chunks_processed: wl_len - skipped,
-            chunks_skipped: skipped,
-            chunks_not_on_worklist: nc - wl_len,
-            worklist_len: wl_len,
             activations: seeded.unwrap_or(0),
             changed_chunks,
             col_steps,
             cells: col_steps * C as u64,
-            active_cells: 0, // lane utilization is measured by the BFS family only
             changed,
-            ..Default::default()
+            ..IterStats::visited(&set, nc, skipped)
         });
         std::mem::swap(&mut cur, &mut nxt);
         if !changed || iterations > n {
@@ -464,6 +372,7 @@ pub fn sssp_with<const C: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::ExecutedSweep;
     use slimsell_gen::Xoshiro256pp;
     use slimsell_graph::weighted::{dijkstra, WeightedCsrGraph};
 

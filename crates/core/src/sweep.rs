@@ -2,8 +2,7 @@
 //! frontier-proportional worklist sweeps, including the adaptive
 //! controller that switches per iteration.
 //!
-//! PR 4 made the worklist engine a user-visible knob: worklist sweeps
-//! win decisively on high-diameter graphs (thin wavefront frontiers)
+//! Worklist sweeps win decisively on high-diameter graphs (thin wavefront frontiers)
 //! but pay ~1.4× wall overhead in the Kronecker flood regime, where
 //! nearly every chunk is active every iteration and the activation
 //! machinery is pure cost. That is the same regime split that motivates
@@ -16,13 +15,19 @@
 //! `SLIMSELL_SWEEP` env var):
 //!
 //! * [`SweepMode::Full`] — every iteration sweeps the whole chunk range
-//!   (the PR-3 behavior; per-chunk SlimWork skip tests still apply).
+//!   (per-chunk SlimWork skip tests still apply).
 //! * [`SweepMode::Worklist`] — every iteration sweeps the active-chunk
-//!   worklist only (the PR-4 engine).
+//!   worklist only.
 //! * [`SweepMode::Adaptive`] — the default: the controller below picks
-//!   per iteration, tracking exact per-chunk changes through full
+//!   per iteration, recording exact per-chunk changes through full
 //!   sweeps so it can re-seed the worklist on every full→worklist
 //!   transition without ever touching outputs.
+//!
+//! The policy's answer is a value: [`resolve_sweep`] returns the
+//! [`ChunkSet`] this iteration visits — the whole range or the seeded
+//! worklist — and every kernel runs the same loop over it
+//! ([`ChunkSet::sweep`]). A full sweep is the worklist that spans the
+//! range.
 //!
 //! # The adaptive controller
 //!
@@ -55,19 +60,21 @@
 //! a seed set oscillating around `nc/2` cannot thrash between modes
 //! (each transition has a small fixed cost). Deciding on full
 //! iterations means the changed-chunk list must stay current through
-//! them: adaptive full sweeps are *tracked* (below). Crucially, the
-//! decision needs **no activation probes ever** on the full-sweep
-//! side — mid-flood the controller reads one length and runs the full
-//! dispatcher, which is what keeps adaptive at ≈ 1.0× full-sweep wall
+//! them: adaptive full sweeps *record* change masks (below). Crucially,
+//! the decision needs **no activation probes ever** on the full-sweep
+//! side — mid-flood the controller reads one length and sweeps the
+//! whole range, which is what keeps adaptive at ≈ 1.0× full-sweep wall
 //! time on Kronecker.
 //!
 //! Correctness of switching (the **re-seeding invariant**): the
 //! worklist engine requires that outside the worklist the next-state
 //! buffer already equals the current state bit-for-bit. Adaptive full
-//! sweeps therefore run *tracked*: each chunk's freshly written output
-//! is compared bit-wise against its previous state
+//! sweeps therefore *record*, exactly like worklist sweeps: each
+//! chunk's freshly written output is compared bit-wise against its
+//! previous state
 //! ([`Semiring::state_changed`](crate::Semiring::state_changed)), and
-//! the changed chunks become the seed set. A chunk whose flag is clear
+//! [`ChunkSet::harvest`] turns the changed chunks into the seed set. A
+//! chunk whose flag is clear
 //! wrote back exactly its previous state, so after the buffer swap it
 //! satisfies the invariant; a chunk whose flag is set is a seed, hence
 //! on the next worklist (self edge) and rewritten before anyone reads
@@ -80,7 +87,7 @@
 use std::sync::OnceLock;
 
 use crate::mask::VertexMask;
-use crate::tiling::Schedule;
+use crate::tiling::{ChunkSet, Schedule};
 use crate::worklist::{ActivationState, ChunkDepGraph};
 
 /// Sweep strategy for the iterative kernels (BFS, SSSP, PageRank's
@@ -88,9 +95,7 @@ use crate::worklist::{ActivationState, ChunkDepGraph};
 ///
 /// The default is read from the `SLIMSELL_SWEEP` env var (once per
 /// process): `full`, `worklist`, or `adaptive`. Unset means
-/// [`SweepMode::Adaptive`]. The pre-PR-5 `SLIMSELL_WORKLIST` var is
-/// still honored as a deprecated alias (`1` ⇒ worklist, `0`/empty ⇒
-/// full) when `SLIMSELL_SWEEP` is absent.
+/// [`SweepMode::Adaptive`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SweepMode {
     /// Sweep the whole chunk range every iteration.
@@ -104,50 +109,31 @@ pub enum SweepMode {
 }
 
 impl SweepMode {
-    /// Parses the two env knobs into a mode. `sweep` is
-    /// `SLIMSELL_SWEEP` and wins when set; `worklist` is the deprecated
-    /// `SLIMSELL_WORKLIST` alias with its historical semantics (any
-    /// non-empty value but `0` ⇒ worklist sweeps, `0`/empty ⇒ full
-    /// sweeps). Both absent ⇒ [`SweepMode::Adaptive`].
+    /// Parses the `SLIMSELL_SWEEP` value into a mode (case-insensitive);
+    /// absent ⇒ [`SweepMode::Adaptive`].
     ///
     /// # Panics
-    /// Panics on an unrecognized `SLIMSELL_SWEEP` value — a misspelled
-    /// CI matrix leg must fail loudly, not silently test the default.
-    pub fn parse_env(sweep: Option<&str>, worklist: Option<&str>) -> Self {
-        if let Some(s) = sweep {
-            return match s.to_ascii_lowercase().as_str() {
-                "full" => SweepMode::Full,
-                "worklist" => SweepMode::Worklist,
-                "adaptive" => SweepMode::Adaptive,
-                other => panic!(
-                    "unrecognized SLIMSELL_SWEEP value {other:?} (use full, worklist, or adaptive)"
-                ),
-            };
-        }
-        match worklist {
-            Some(w) => {
-                if !w.is_empty() && w != "0" {
-                    SweepMode::Worklist
-                } else {
-                    SweepMode::Full
-                }
-            }
+    /// Panics on an unrecognized value — a misspelled CI matrix leg
+    /// must fail loudly, not silently test the default.
+    pub fn parse_env(sweep: Option<&str>) -> Self {
+        match sweep.map(str::to_ascii_lowercase).as_deref() {
             None => SweepMode::Adaptive,
+            Some("full") => SweepMode::Full,
+            Some("worklist") => SweepMode::Worklist,
+            Some("adaptive") => SweepMode::Adaptive,
+            Some(other) => panic!(
+                "unrecognized SLIMSELL_SWEEP value {other:?} (use full, worklist, or adaptive)"
+            ),
         }
     }
 
-    /// The process-wide default: `SLIMSELL_SWEEP` (with the deprecated
-    /// `SLIMSELL_WORKLIST` fallback), read once and cached. Explicit
-    /// `sweep:` fields in options override this everywhere it matters;
-    /// CI runs the whole suite under all three settings.
+    /// The process-wide default: `SLIMSELL_SWEEP`, read once and
+    /// cached. Explicit `sweep:` fields in options override this
+    /// everywhere it matters; CI runs the whole suite under all three
+    /// settings.
     pub fn env_default() -> Self {
         static DEFAULT: OnceLock<SweepMode> = OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            Self::parse_env(
-                std::env::var("SLIMSELL_SWEEP").ok().as_deref(),
-                std::env::var("SLIMSELL_WORKLIST").ok().as_deref(),
-            )
-        })
+        *DEFAULT.get_or_init(|| Self::parse_env(std::env::var("SLIMSELL_SWEEP").ok().as_deref()))
     }
 
     /// Whether this mode ever runs worklist sweeps — i.e. whether the
@@ -318,13 +304,16 @@ impl AdaptiveController {
 }
 
 /// Resolves the sweep policy for one iteration — the single shared
-/// entry point of the BFS engine, SSSP, and PageRank drivers, so the
-/// controller's contract cannot drift between kernels. Decides which
-/// dispatcher runs, seeds the activation state from the pending
-/// `(chunk, changed-lane mask)` list when a worklist sweep is due
-/// (clearing `pending` afterwards), and returns the executed mode plus
-/// the lane-filtered activations paid (`None` when no seeding
-/// happened).
+/// entry point of every sweep kernel, so the controller's contract
+/// cannot drift between kernels. Decides which chunks this iteration
+/// sweeps and returns them as a [`ChunkSet`]: the whole range, or the
+/// worklist seeded from the pending `(chunk, changed-lane mask)` list
+/// (clearing `pending` afterwards). The second value is the
+/// lane-filtered activations paid (`None` when no seeding happened).
+///
+/// The dependency graph is taken lazily: `dep` is only called when a
+/// worklist is seeded, so a pure [`SweepMode::Full`] run never builds
+/// it.
 ///
 /// When a [`VertexMask`] is supplied, dependent chunks with no allowed
 /// real lane are dropped *before* the activation probe is paid — a
@@ -337,24 +326,21 @@ impl AdaptiveController {
 /// discovered vertex (up to `C` duplicates per chunk), and the
 /// controller's crossover is calibrated on distinct changed chunks.
 /// [`ActivationState::seed`] would merge anyway, so this costs nothing
-/// extra on the worklist path.
-pub fn resolve_sweep(
+/// extra on the worklist path. When the controller picks a full sweep
+/// the stale seeds are left in `pending`: the recording full sweep
+/// rebuilds the list itself.
+pub fn resolve_sweep<'a, 'd>(
     mode: SweepMode,
     ctl: &mut AdaptiveController,
-    act: &mut ActivationState,
-    dep: &ChunkDepGraph,
+    act: &'a mut ActivationState,
+    dep: impl FnOnce() -> &'d ChunkDepGraph,
     pending: &mut Vec<(u32, u32)>,
     nc: usize,
     mask: Option<&VertexMask>,
-) -> (ExecutedSweep, Option<u64>) {
-    let seed = |act: &mut ActivationState, pending: &mut Vec<(u32, u32)>| {
-        let probes = act.seed(dep, pending, mask);
-        pending.clear();
-        (ExecutedSweep::Worklist, Some(probes))
-    };
-    match mode {
-        SweepMode::Full => (ExecutedSweep::Full, None),
-        SweepMode::Worklist => seed(act, pending),
+) -> (ChunkSet<'a>, Option<u64>) {
+    let exec = match mode {
+        SweepMode::Full => ExecutedSweep::Full,
+        SweepMode::Worklist => ExecutedSweep::Worklist,
         SweepMode::Adaptive => {
             pending.sort_unstable_by_key(|&(j, _)| j);
             pending.dedup_by(|next, prev| {
@@ -365,12 +351,16 @@ pub fn resolve_sweep(
                     false
                 }
             });
-            match ctl.decide(pending.len(), nc) {
-                // The tracked full sweep rebuilds `pending` itself, so
-                // the stale seeds are left for it to overwrite.
-                ExecutedSweep::Full => (ExecutedSweep::Full, None),
-                ExecutedSweep::Worklist => seed(act, pending),
-            }
+            ctl.decide(pending.len(), nc)
+        }
+    };
+    match exec {
+        ExecutedSweep::Full => (ChunkSet::All(nc), None),
+        ExecutedSweep::Worklist => {
+            let probes = act.seed(dep(), pending, mask);
+            pending.clear();
+            let act: &'a ActivationState = act;
+            (ChunkSet::List(act.worklist()), Some(probes))
         }
     }
 }
@@ -381,42 +371,27 @@ mod tests {
 
     #[test]
     fn env_parse_sweep_values() {
-        assert_eq!(SweepMode::parse_env(Some("full"), None), SweepMode::Full);
-        assert_eq!(SweepMode::parse_env(Some("worklist"), None), SweepMode::Worklist);
-        assert_eq!(SweepMode::parse_env(Some("adaptive"), None), SweepMode::Adaptive);
-        assert_eq!(SweepMode::parse_env(Some("Adaptive"), None), SweepMode::Adaptive);
-        // SLIMSELL_SWEEP wins over the alias.
-        assert_eq!(SweepMode::parse_env(Some("full"), Some("1")), SweepMode::Full);
+        assert_eq!(SweepMode::parse_env(Some("full")), SweepMode::Full);
+        assert_eq!(SweepMode::parse_env(Some("worklist")), SweepMode::Worklist);
+        assert_eq!(SweepMode::parse_env(Some("adaptive")), SweepMode::Adaptive);
+        assert_eq!(SweepMode::parse_env(Some("Adaptive")), SweepMode::Adaptive);
     }
 
     #[test]
     fn env_parse_unset_defaults_to_adaptive() {
-        assert_eq!(SweepMode::parse_env(None, None), SweepMode::Adaptive);
-    }
-
-    #[test]
-    fn deprecated_worklist_alias_keeps_its_historical_semantics() {
-        // SLIMSELL_WORKLIST=1 (and any other non-empty non-zero value)
-        // meant "worklist sweeps"; 0/empty meant the full-sweep
-        // default. The alias must keep selecting the *pure* modes, not
-        // the new adaptive default, so pre-PR-5 reproduction scripts
-        // measure what they always measured.
-        assert_eq!(SweepMode::parse_env(None, Some("1")), SweepMode::Worklist);
-        assert_eq!(SweepMode::parse_env(None, Some("yes")), SweepMode::Worklist);
-        assert_eq!(SweepMode::parse_env(None, Some("0")), SweepMode::Full);
-        assert_eq!(SweepMode::parse_env(None, Some("")), SweepMode::Full);
+        assert_eq!(SweepMode::parse_env(None), SweepMode::Adaptive);
     }
 
     #[test]
     #[should_panic(expected = "unrecognized SLIMSELL_SWEEP")]
     fn env_parse_rejects_typos() {
-        SweepMode::parse_env(Some("worklists"), None);
+        SweepMode::parse_env(Some("worklists"));
     }
 
     #[test]
     fn names_round_trip() {
         for m in [SweepMode::Full, SweepMode::Worklist, SweepMode::Adaptive] {
-            assert_eq!(SweepMode::parse_env(Some(m.name()), None), m);
+            assert_eq!(SweepMode::parse_env(Some(m.name())), m);
         }
         assert_eq!(ExecutedSweep::Full.name(), "full");
         assert_eq!(ExecutedSweep::Worklist.name(), "worklist");

@@ -1,67 +1,80 @@
-//! Chunk-range tiling: the shared parallel execution substrate of every
+//! Chunk-set tiling: the shared parallel execution substrate of every
 //! sweep kernel in this crate.
 //!
 //! All SlimSell kernels — BFS ([`crate::bfs`]), SlimChunk
 //! ([`crate::slimchunk`]), PageRank ([`mod@crate::pagerank`]), SSSP
 //! ([`mod@crate::sssp`]), multi-source BFS ([`mod@crate::msbfs`]) and the
 //! betweenness forward sweep ([`mod@crate::betweenness`]) — share one
-//! iteration shape: a sweep over the chunk range `0..nc` where chunk `i`
-//! reads the *previous* iteration's vectors anywhere but writes only its
-//! own `width`-sized slot of the *next* vectors. That positional-write
-//! discipline is what this module turns into lock-free parallelism:
+//! iteration shape: a sweep over a set of chunks where chunk `i` reads
+//! the *previous* iteration's vectors anywhere but writes only its own
+//! `width`-sized slot of the *next* vectors. Which chunks one sweep
+//! visits is a value, [`ChunkSet`]: the whole range `0..nc` (a full
+//! sweep) or a sorted worklist of chunk ids (a frontier-proportional
+//! sweep). A full sweep is simply the worklist that spans the range, so
+//! every kernel writes its sweep loop once, against [`ChunkSet::sweep`].
+//! The positional-write discipline is what this module turns into
+//! lock-free parallelism:
 //!
-//! 1. [`ChunkTiling::new`] partitions `0..nc` into contiguous per-worker
-//!    tiles (one per thread under [`Schedule::Static`], an
-//!    over-partitioned set under [`Schedule::Dynamic`] so fast threads
-//!    steal leftovers);
-//! 2. [`ChunkTiling::split`] carves each output slab into disjoint
-//!    `&mut` tile views with `split_at_mut` — exclusive ownership, no
-//!    locks, no atomics;
-//! 3. [`ChunkTiling::map_reduce`] / [`ChunkTiling::for_each`] run the
-//!    per-tile work, merging tile results **in tile order**.
+//! 1. [`ChunkTiling::new`] partitions the *positions* `0..len` of a set
+//!    (or any plain index range) into contiguous per-worker tiles (one
+//!    per thread under [`Schedule::Static`], an over-partitioned set
+//!    under [`Schedule::Dynamic`] so fast threads steal leftovers);
+//! 2. [`ChunkSet::sweep`] carves every output slab into disjoint `&mut`
+//!    tile views with `split_at_mut` — each tile's view spans the
+//!    contiguous chunk range from its first to its last chunk, so sorted
+//!    ids give disjoint views; no locks, no atomics — plus an optional
+//!    position-indexed change-mask slab, and runs the per-chunk body;
+//! 3. [`ChunkSet::harvest`] turns the recorded change masks into the
+//!    `(chunk, lane mask)` seeds of the next worklist, in ascending
+//!    chunk order;
+//! 4. [`ChunkTiling::split`] / [`ChunkTiling::map_reduce`] /
+//!    [`ChunkTiling::for_each`] serve the loops that are not chunk-set
+//!    sweeps (SlimChunk's tile tasks, PageRank's output pass, vertex
+//!    rescans), merging tile results **in tile order**.
 //!
 //! # Determinism contract
 //!
-//! When the effective thread count is 1 (or there is at most one chunk)
-//! the tiling is a single tile covering every chunk and the drivers run
-//! it inline — a plain sequential loop with zero thread-pool
-//! interaction. This is the reference oracle the determinism suite
-//! (`tests/parallel_determinism.rs`) compares parallel runs against.
-//! Because every chunk's math is independent, writes are positional, and
-//! tile results merge in tile order, kernel outputs are **bit-identical
-//! at any thread count** provided the merge operator is associative and
-//! per-chunk work does not depend on tile boundaries. Kernels that need
-//! an ordered floating-point reduction (e.g. the PageRank residual)
-//! write per-chunk partials into a `width == 1` slab and sum it
-//! sequentially in chunk order afterwards.
+//! When the effective thread count is 1 (or there is at most one
+//! position) the tiling is a single tile covering everything and the
+//! drivers run it inline — a plain sequential loop with zero
+//! thread-pool interaction. This is the reference oracle the
+//! determinism suite (`tests/parallel_determinism.rs`) compares parallel
+//! runs against. Because every chunk's math is independent, writes are
+//! positional, and tile results merge in tile order, kernel outputs are
+//! **bit-identical at any thread count** provided the merge operator is
+//! associative and per-chunk work does not depend on tile boundaries.
+//! Kernels that need an ordered floating-point reduction (e.g. the
+//! PageRank residual) write per-chunk partials into a `width == 1` slab
+//! and sum it sequentially in chunk order afterwards.
 //!
 //! # Example
 //!
 //! ```
-//! use slimsell_core::tiling::{ChunkTiling, Schedule};
+//! use slimsell_core::tiling::{ChunkSet, ChunkTiling, Schedule};
 //!
-//! // Double 4 chunks of width 2, tile-parallel, then reduce a count.
+//! // Double chunks 1 and 3 (width 2) of a 4-chunk slab, recording a
+//! // change mask per visited chunk, then harvest the changed ones.
 //! let mut data = vec![1.0f32; 8];
-//! let tiling = ChunkTiling::new(4, Schedule::Dynamic);
-//! let tiles = tiling.split(2, &mut data);
-//! let chunks_touched = tiling.map_reduce(
-//!     tiles,
-//!     |tile| {
-//!         for v in tile.data.iter_mut() {
-//!             *v *= 2.0;
-//!         }
-//!         tile.data.len() / 2
-//!     },
-//!     || 0,
-//!     |a, b| a + b,
-//! );
-//! assert_eq!(chunks_touched, 4);
-//! assert!(data.iter().all(|&v| v == 2.0));
+//! let set = ChunkSet::List(&[1, 3]);
+//! let full = ChunkTiling::new(4, Schedule::Dynamic);
+//! let mut masks = Vec::new();
+//! let visited = set.sweep(&full, 2, [&mut data], Some(&mut masks), |_, _, [slot], mask| {
+//!     slot.iter_mut().for_each(|v| *v *= 2.0);
+//!     *mask.unwrap() = 0b11;
+//!     1usize
+//! }, |a, b| a + b);
+//! assert_eq!(visited, 2);
+//! assert_eq!(data, [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]);
+//! let mut pending = Vec::new();
+//! assert_eq!(set.harvest(&masks, &mut pending), 2);
+//! assert_eq!(pending, [(1, 0b11), (3, 0b11)]);
 //! ```
+
+use std::borrow::Cow;
 
 use rayon::prelude::*;
 
-use crate::semiring::StateVecs;
+use crate::sweep::ExecutedSweep;
 
 /// Chunk-to-thread scheduling policy (the paper's `omp-s` / `omp-d`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -107,54 +120,51 @@ pub struct Tile<'a, T> {
     pub data: &'a mut [T],
 }
 
-/// A tile's disjoint view of the BFS-family iteration outputs: chunks
-/// `c0 .. c0 + x.len() / C`, with per-chunk slabs of the next state
-/// vectors (`x`/`g`/`p`) and the persistent distance vector `d`.
-pub struct ChunkSpan<'a> {
-    /// First chunk index covered by this span.
-    pub c0: usize,
-    /// Next frontier values.
-    pub x: &'a mut [f32],
-    /// Next auxiliary values (semiring-specific).
-    pub g: &'a mut [f32],
-    /// Next parent values (sel-max).
-    pub p: &'a mut [f32],
-    /// Distance vector slots.
-    pub d: &'a mut [f32],
-}
-
-/// A partition of a chunk range into contiguous per-worker tiles, fixed
-/// for one parallel region. See the module docs for the execution model
-/// and determinism contract.
+/// A partition of a position range `0..n` into contiguous per-worker
+/// tiles, fixed for one parallel region. The positions are chunk ids
+/// for a full-range sweep, worklist positions for a [`ChunkSet::List`]
+/// sweep, or plain indices (tasks, vertices) for the other loops. See
+/// the module docs for the execution model and determinism contract.
 #[derive(Clone, Debug)]
 pub struct ChunkTiling {
     ranges: Vec<(usize, usize)>,
+    schedule: Schedule,
     sequential: bool,
 }
 
 impl ChunkTiling {
-    /// Tiles `0..nc` for the *current* effective thread count
+    /// Tiles `0..n` for the *current* effective thread count
     /// (`rayon::current_num_threads`): one tile per thread under
     /// [`Schedule::Static`], [`DYNAMIC_TILES_PER_THREAD`] per thread
-    /// under [`Schedule::Dynamic`]. At one effective thread (or `nc <=
+    /// under [`Schedule::Dynamic`]. At one effective thread (or `n <=
     /// 1`) the tiling collapses to the sequential fallback: a single
     /// tile the drivers run inline, with no pool interaction.
-    pub fn new(nc: usize, schedule: Schedule) -> Self {
+    pub fn new(n: usize, schedule: Schedule) -> Self {
         let threads = rayon::current_num_threads().max(1);
-        if threads <= 1 || nc <= 1 {
-            return Self::sequential(nc);
+        if threads <= 1 || n <= 1 {
+            return Self { schedule, ..Self::sequential(n) };
         }
         let parts = match schedule {
             Schedule::Static => threads,
             Schedule::Dynamic => threads * DYNAMIC_TILES_PER_THREAD,
         };
-        Self { ranges: even_ranges(nc, parts), sequential: false }
+        Self { ranges: even_ranges(n, parts), schedule, sequential: false }
     }
 
-    /// The explicit sequential tiling: one tile covering every chunk
-    /// (none for `nc == 0`), run inline by the drivers.
-    pub fn sequential(nc: usize) -> Self {
-        Self { ranges: even_ranges(nc, 1), sequential: true }
+    /// The explicit sequential tiling: one tile covering every position
+    /// (none for `n == 0`), run inline by the drivers.
+    pub fn sequential(n: usize) -> Self {
+        Self { ranges: even_ranges(n, 1), schedule: Schedule::default(), sequential: true }
+    }
+
+    /// Tiles `0..n` under the same policy as `self` (schedule, and the
+    /// sequential fallback if `self` is sequential).
+    pub fn retile(&self, n: usize) -> Self {
+        if self.sequential {
+            Self::sequential(n)
+        } else {
+            Self::new(n, self.schedule)
+        }
     }
 
     /// Whether the drivers will run tiles inline on the calling thread.
@@ -162,12 +172,12 @@ impl ChunkTiling {
         self.sequential
     }
 
-    /// The tiled chunk ranges, in chunk order.
+    /// The tiled position ranges, in order.
     pub fn ranges(&self) -> &[(usize, usize)] {
         &self.ranges
     }
 
-    /// The chunk count this tiling partitions.
+    /// The position count this tiling partitions.
     pub fn num_chunks(&self) -> usize {
         self.ranges.last().map_or(0, |r| r.1)
     }
@@ -195,39 +205,12 @@ impl ChunkTiling {
         out
     }
 
-    /// Carves the BFS-family state vectors and the distance vector into
-    /// per-tile [`ChunkSpan`]s (lane width `C` per chunk each).
-    ///
-    /// # Panics
-    /// Panics if any vector's length is not `num_chunks() * C`.
-    pub fn split_spans<'a, const C: usize>(
-        &self,
-        nxt: &'a mut StateVecs,
-        d: &'a mut [f32],
-    ) -> Vec<ChunkSpan<'a>> {
-        let xs = self.split(C, &mut nxt.x);
-        let gs = self.split(C, &mut nxt.g);
-        let ps = self.split(C, &mut nxt.p);
-        let ds = self.split(C, d);
-        xs.into_iter()
-            .zip(gs)
-            .zip(ps)
-            .zip(ds)
-            .map(|(((x, g), p), d)| ChunkSpan {
-                c0: x.c0,
-                x: x.data,
-                g: g.data,
-                p: p.data,
-                d: d.data,
-            })
-            .collect()
-    }
-
     /// Runs `map` over every tile and merges the results **in tile
     /// order** with `merge` starting from `identity`. Parallel over the
-    /// pool unless the tiling is sequential, in which case the tiles run
-    /// inline on the calling thread (same merge order — bit-identical
-    /// results for associative, identity-lawful `merge`).
+    /// pool unless the tiling is sequential (or has a lone tile), in
+    /// which case the tiles run inline on the calling thread (same merge
+    /// order — bit-identical results for associative, identity-lawful
+    /// `merge`).
     pub fn map_reduce<T, R, M, ID, MG>(&self, tiles: Vec<T>, map: M, identity: ID, merge: MG) -> R
     where
         T: Send,
@@ -237,7 +220,14 @@ impl ChunkTiling {
         MG: Fn(R, R) -> R + Sync,
     {
         debug_assert_eq!(tiles.len(), self.ranges.len(), "tile list does not match tiling");
-        map_reduce_tiles(self.sequential, tiles, map, identity, merge)
+        if self.sequential || tiles.len() <= 1 {
+            let mut it = tiles.into_iter();
+            return match it.next() {
+                None => identity(),
+                Some(t) => it.map(&map).fold(map(t), merge),
+            };
+        }
+        tiles.into_par_iter().with_min_len(1).map(map).reduce(identity, merge)
     }
 
     /// Runs `work` over every tile for its side effects (disjoint-slab
@@ -247,257 +237,216 @@ impl ChunkTiling {
         T: Send,
         W: Fn(T) + Sync,
     {
-        debug_assert_eq!(tiles.len(), self.ranges.len(), "tile list does not match tiling");
-        for_each_tiles(self.sequential, tiles, work);
+        self.map_reduce(tiles, work, || (), |(), ()| ());
     }
 }
 
-/// Shared map-reduce runner: inline fold in tile order when sequential
-/// (or a lone tile — merging it into `identity()` would only copy),
-/// otherwise a pool reduction that still merges in tile order.
-fn map_reduce_tiles<T, R, M, ID, MG>(
-    sequential: bool,
-    tiles: Vec<T>,
-    map: M,
-    identity: ID,
-    merge: MG,
-) -> R
-where
-    T: Send,
-    R: Send,
-    M: Fn(T) -> R + Sync,
-    ID: Fn() -> R + Sync,
-    MG: Fn(R, R) -> R + Sync,
-{
-    if sequential || tiles.len() <= 1 {
-        let mut it = tiles.into_iter();
-        return match it.next() {
-            None => identity(),
-            Some(t) => it.map(&map).fold(map(t), merge),
-        };
-    }
-    tiles.into_par_iter().with_min_len(1).map(map).reduce(identity, merge)
+/// The chunks one sweep visits. Position `p` of the set names chunk
+/// [`chunk(p)`](Self::chunk); tilings, the per-position change masks a
+/// sweep records and the [`harvest`](Self::harvest) all work over
+/// positions, so the full sweep and the worklist sweep share one loop.
+#[derive(Clone, Copy, Debug)]
+pub enum ChunkSet<'a> {
+    /// Every chunk of `0..nc` (a full sweep): position `p` is chunk `p`,
+    /// so the sweep walks the range without reading an id array.
+    All(usize),
+    /// A strictly increasing worklist of chunk ids: position `p` is
+    /// chunk `ids[p]`.
+    List(&'a [u32]),
 }
 
-/// Shared side-effect runner (see [`map_reduce_tiles`]).
-fn for_each_tiles<T, W>(sequential: bool, tiles: Vec<T>, work: W)
-where
-    T: Send,
-    W: Fn(T) + Sync,
-{
-    if sequential || tiles.len() <= 1 {
-        tiles.into_iter().for_each(work);
-        return;
-    }
-    tiles.into_par_iter().with_min_len(1).for_each(work);
-}
-
-/// A tile's exclusive view of one worklist slice: the sorted chunk ids
-/// `ids`, slabs of the state/distance vectors covering the *contiguous
-/// chunk range* `ids[0] ..= ids[last]` (interleaved non-worklist chunks
-/// are carried inside the slab but never written), and the per-position
-/// changed flags for exactly these ids.
-pub struct WorklistSpan<'a> {
-    /// Worklist position of `ids[0]` (for indexing per-position
-    /// side tables built over the whole worklist).
-    pub first_pos: usize,
-    /// The worklist chunk ids this tile owns (sorted, non-empty).
-    pub ids: &'a [u32],
-    /// Next frontier values for chunks `ids[0] ..= ids[last]`.
-    pub x: &'a mut [f32],
-    /// Next auxiliary values (semiring-specific), same coverage.
-    pub g: &'a mut [f32],
-    /// Next parent values (sel-max), same coverage.
-    pub p: &'a mut [f32],
-    /// Distance vector slots, same coverage.
-    pub d: &'a mut [f32],
-    /// One changed lane mask per entry of `ids`, in order (0 = state
-    /// unchanged, bit `r` set = row `r` of the chunk changed).
-    pub changed: &'a mut [u32],
-}
-
-/// A tile's exclusive view of one worklist slice over a *single*
-/// output slab — the one-vector counterpart of [`WorklistSpan`] for
-/// kernels whose state is a plain label vector (weighted SSSP's
-/// distance labels, PageRank's per-vertex SpMV accumulator) rather
-/// than the BFS-family [`StateVecs`]. Same coverage rule: `data` spans
-/// the contiguous chunk range `ids[0] ..= ids[last]` and interleaved
-/// non-worklist chunks ride inside untouched.
-pub struct WorklistSlab<'a, T> {
-    /// Worklist position of `ids[0]`.
-    pub first_pos: usize,
-    /// The worklist chunk ids this tile owns (sorted, non-empty).
-    pub ids: &'a [u32],
-    /// Output slab covering chunks `ids[0] ..= ids[last]`, `width`
-    /// elements per chunk.
-    pub data: &'a mut [T],
-    /// One changed lane mask per entry of `ids`, in order (0 = state
-    /// unchanged, bit `r` set = row `r` of the chunk changed).
-    pub changed: &'a mut [u32],
-}
-
-/// A partition of a **sorted chunk-id worklist** into contiguous
-/// per-worker position ranges — the worklist twin of [`ChunkTiling`],
-/// with the same determinism contract: tiles own disjoint `&mut` slabs
-/// carved with `split_at_mut` (each tile's slab spans the contiguous
-/// chunk range between its first and last worklist id, so sorted ids ⇒
-/// disjoint slabs), results merge in tile order, and one effective
-/// thread (or ≤ 1 entry) collapses to an inline sequential tile.
-#[derive(Debug)]
-pub struct WorklistTiling<'w> {
-    ids: &'w [u32],
-    ranges: Vec<(usize, usize)>,
-    sequential: bool,
-}
-
-impl<'w> WorklistTiling<'w> {
-    /// Tiles the worklist positions `0..ids.len()` for the current
-    /// effective thread count, with the same static/dynamic policy as
-    /// [`ChunkTiling::new`]. `ids` must be strictly increasing.
-    pub fn new(ids: &'w [u32], schedule: Schedule) -> Self {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "worklist not sorted/deduped");
-        let threads = rayon::current_num_threads().max(1);
-        if threads <= 1 || ids.len() <= 1 {
-            return Self { ids, ranges: even_ranges(ids.len(), 1), sequential: true };
+impl ChunkSet<'_> {
+    /// Number of chunks in the set.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match *self {
+            ChunkSet::All(nc) => nc,
+            ChunkSet::List(ids) => ids.len(),
         }
-        let parts = match schedule {
-            Schedule::Static => threads,
-            Schedule::Dynamic => threads * DYNAMIC_TILES_PER_THREAD,
-        };
-        Self { ids, ranges: even_ranges(ids.len(), parts), sequential: false }
     }
 
-    /// Whether the drivers will run tiles inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
+    /// Whether the set is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// The tiled worklist-position ranges, in order.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
+    /// The chunk at set position `pos`.
+    #[inline]
+    pub fn chunk(&self, pos: usize) -> usize {
+        match *self {
+            ChunkSet::All(_) => pos,
+            ChunkSet::List(ids) => ids[pos] as usize,
+        }
     }
 
-    /// Carves the state vectors, the distance vector and the changed
-    /// lane-mask slab into per-tile [`WorklistSpan`]s.
+    /// The sweep kind this set executes, as recorded in
+    /// [`IterStats::sweep_mode`](crate::IterStats::sweep_mode).
+    pub fn executed(&self) -> ExecutedSweep {
+        match self {
+            ChunkSet::All(_) => ExecutedSweep::Full,
+            ChunkSet::List(_) => ExecutedSweep::Worklist,
+        }
+    }
+
+    /// One tile-parallel sweep over the set. `full` is the (cached)
+    /// tiling of the whole chunk range; a full sweep uses it as is, a
+    /// worklist sweep re-tiles its positions under the same policy.
+    /// Each of the `N` output `slabs` holds `width` elements per chunk of
+    /// the whole range; `visit(pos, chunk, slots, mask)` gets the
+    /// chunk's `width`-sized slot of every slab and, when `masks` is
+    /// given, the chunk's slot in a zeroed per-position change-mask slab
+    /// (resized to the set length). Per-chunk results are folded with
+    /// `merge` from `R::default()` within a tile and merged in tile order
+    /// across tiles.
     ///
     /// # Panics
-    /// Panics if the vectors are shorter than the largest worklist id
-    /// requires, if their lengths disagree, or if `changed` does not
-    /// have one mask per worklist entry.
-    pub fn split_spans<'a, const C: usize>(
+    /// Panics if `full` does not tile the whole range of an
+    /// [`All`](Self::All) set or a slab is too short for the set's
+    /// largest chunk.
+    pub fn sweep<T, R, V, MG, const N: usize>(
         &self,
-        nxt: &'a mut StateVecs,
-        d: &'a mut [f32],
-        changed: &'a mut [u32],
-    ) -> Vec<WorklistSpan<'a>>
-    where
-        'w: 'a,
-    {
-        assert_eq!(changed.len(), self.ids.len(), "one changed mask per worklist entry");
-        assert_eq!(nxt.x.len(), d.len(), "state and distance vectors disagree");
-        if let Some(&last) = self.ids.last() {
-            assert!(
-                (last as usize + 1) * C <= nxt.x.len(),
-                "worklist id {last} out of range for {} lanes",
-                nxt.x.len()
-            );
-        }
-        let mut out = Vec::with_capacity(self.ranges.len());
-        let (mut rx, mut rg, mut rp, mut rd, mut rc) =
-            (&mut nxt.x[..], &mut nxt.g[..], &mut nxt.p[..], d, changed);
-        let mut cursor = 0usize; // lanes consumed so far
-        for &(p0, p1) in &self.ranges {
-            let start = self.ids[p0] as usize * C;
-            let end = (self.ids[p1 - 1] as usize + 1) * C;
-            let carve = |rest: &'a mut [f32]| -> (&'a mut [f32], &'a mut [f32]) {
-                let (_, r) = rest.split_at_mut(start - cursor);
-                r.split_at_mut(end - start)
-            };
-            let (x, tx) = carve(std::mem::take(&mut rx));
-            let (g, tg) = carve(std::mem::take(&mut rg));
-            let (p, tp) = carve(std::mem::take(&mut rp));
-            let (dd, td) = carve(std::mem::take(&mut rd));
-            let (flags, tc) = std::mem::take(&mut rc).split_at_mut(p1 - p0);
-            (rx, rg, rp, rd, rc) = (tx, tg, tp, td, tc);
-            cursor = end;
-            out.push(WorklistSpan {
-                first_pos: p0,
-                ids: &self.ids[p0..p1],
-                x,
-                g,
-                p,
-                d: dd,
-                changed: flags,
-            });
-        }
-        out
-    }
-
-    /// Carves a single `width`-per-chunk output slab and the changed
-    /// lane-mask slab into per-tile [`WorklistSlab`]s — the
-    /// generalization of [`split_spans`](Self::split_spans) the
-    /// non-`StateVecs` kernels (SSSP, PageRank) tile with, under the
-    /// same disjoint-`split_at_mut` / determinism contract.
-    ///
-    /// # Panics
-    /// Panics if `slab` is shorter than the largest worklist id
-    /// requires or `changed` does not have one mask per worklist entry.
-    pub fn split_slab<'a, T>(
-        &self,
+        full: &ChunkTiling,
         width: usize,
-        slab: &'a mut [T],
-        changed: &'a mut [u32],
-    ) -> Vec<WorklistSlab<'a, T>>
-    where
-        'w: 'a,
-    {
-        assert_eq!(changed.len(), self.ids.len(), "one changed mask per worklist entry");
-        if let Some(&last) = self.ids.last() {
-            assert!(
-                (last as usize + 1) * width <= slab.len(),
-                "worklist id {last} out of range for {} slots of width {width}",
-                slab.len()
-            );
-        }
-        let mut out = Vec::with_capacity(self.ranges.len());
-        let (mut rest, mut rc) = (slab, changed);
-        let mut cursor = 0usize; // slots consumed so far
-        for &(p0, p1) in &self.ranges {
-            let start = self.ids[p0] as usize * width;
-            let end = (self.ids[p1 - 1] as usize + 1) * width;
-            let (_, r) = std::mem::take(&mut rest).split_at_mut(start - cursor);
-            let (data, tail) = r.split_at_mut(end - start);
-            let (flags, tc) = std::mem::take(&mut rc).split_at_mut(p1 - p0);
-            (rest, rc) = (tail, tc);
-            cursor = end;
-            out.push(WorklistSlab { first_pos: p0, ids: &self.ids[p0..p1], data, changed: flags });
-        }
-        out
-    }
-
-    /// Runs `map` over every tile, merging **in tile order** — see
-    /// [`ChunkTiling::map_reduce`] for the determinism contract.
-    pub fn map_reduce<T, R, M, ID, MG>(&self, tiles: Vec<T>, map: M, identity: ID, merge: MG) -> R
+        slabs: [&mut [T]; N],
+        masks: Option<&mut Vec<u32>>,
+        visit: V,
+        merge: MG,
+    ) -> R
     where
         T: Send,
-        R: Send,
-        M: Fn(T) -> R + Sync,
-        ID: Fn() -> R + Sync,
+        R: Default + Send,
+        V: Fn(usize, usize, [&mut [T]; N], Option<&mut u32>) -> R + Sync,
         MG: Fn(R, R) -> R + Sync,
     {
-        debug_assert_eq!(tiles.len(), self.ranges.len(), "tile list does not match tiling");
-        map_reduce_tiles(self.sequential, tiles, map, identity, merge)
+        let tiling = match *self {
+            ChunkSet::All(nc) => {
+                assert_eq!(full.num_chunks(), nc, "full tiling does not cover the chunk range");
+                Cow::Borrowed(full)
+            }
+            ChunkSet::List(ids) => Cow::Owned(full.retile(ids.len())),
+        };
+        let masks = masks.map(|m| {
+            m.clear();
+            m.resize(self.len(), 0);
+            m.as_mut_slice()
+        });
+        let tiles = self.split(&tiling, width, slabs, masks);
+        tiling.map_reduce(
+            tiles,
+            |tile| {
+                let (p0, p1) = (tile.p0, tile.p1);
+                match *self {
+                    ChunkSet::All(_) => {
+                        fold_tile((p0..p1).map(|i| (i, i)), tile, width, &visit, &merge)
+                    }
+                    ChunkSet::List(ids) => {
+                        let chunks = (p0..p1).zip(ids[p0..p1].iter().map(|&i| i as usize));
+                        fold_tile(chunks, tile, width, &visit, &merge)
+                    }
+                }
+            },
+            R::default,
+            &merge,
+        )
     }
 
-    /// Runs `work` over every tile for its side effects.
-    pub fn for_each<T, W>(&self, tiles: Vec<T>, work: W)
-    where
-        T: Send,
-        W: Fn(T) + Sync,
-    {
-        debug_assert_eq!(tiles.len(), self.ranges.len(), "tile list does not match tiling");
-        for_each_tiles(self.sequential, tiles, work);
+    /// Carves the slabs (and the change-mask slab) into per-tile views:
+    /// tile `(p0, p1)` owns chunks `chunk(p0) ..= chunk(p1 - 1)` of every
+    /// slab and positions `p0..p1` of the masks.
+    fn split<'s, T, const N: usize>(
+        &self,
+        tiling: &ChunkTiling,
+        width: usize,
+        mut slabs: [&'s mut [T]; N],
+        mut masks: Option<&'s mut [u32]>,
+    ) -> Vec<SetTile<'s, T, N>> {
+        if let ChunkSet::List(ids) = self {
+            debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "worklist not sorted/deduped");
+        }
+        if let Some(last) = self.len().checked_sub(1).map(|p| self.chunk(p)) {
+            for s in &slabs {
+                assert!(
+                    (last + 1) * width <= s.len(),
+                    "chunk {last} out of range for {} slots of width {width}",
+                    s.len()
+                );
+            }
+        }
+        let mut out = Vec::with_capacity(tiling.ranges().len());
+        let mut cursor = 0; // chunks consumed so far
+        for &(p0, p1) in tiling.ranges() {
+            let (c0, c1) = (self.chunk(p0), self.chunk(p1 - 1) + 1);
+            let views = slabs.each_mut().map(|rest| {
+                let (_, tail) = std::mem::take(rest).split_at_mut((c0 - cursor) * width);
+                let (view, tail) = tail.split_at_mut((c1 - c0) * width);
+                *rest = tail;
+                view
+            });
+            let tile_masks = masks.as_mut().map(|rest| {
+                let (view, tail) = std::mem::take(rest).split_at_mut(p1 - p0);
+                *rest = tail;
+                view
+            });
+            cursor = c1;
+            out.push(SetTile { p0, p1, base: c0, slabs: views, masks: tile_masks });
+        }
+        out
     }
+
+    /// The one harvest: rebuilds `pending` as the `(chunk, change mask)`
+    /// pairs of every position whose recorded mask is non-zero, in set
+    /// order (ascending chunks), and returns how many there are. These
+    /// are the seeds of the next worklist.
+    pub fn harvest(&self, masks: &[u32], pending: &mut Vec<(u32, u32)>) -> usize {
+        pending.clear();
+        pending.extend(
+            masks
+                .iter()
+                .enumerate()
+                .filter(|(_, &m)| m != 0)
+                .map(|(pos, &m)| (self.chunk(pos) as u32, m)),
+        );
+        pending.len()
+    }
+}
+
+/// Runs `visit` over one tile's `(position, chunk)` pairs in order,
+/// folding the results with `merge`. Instantiated once per set kind, so
+/// a full sweep maps positions to chunks without reading an id array;
+/// always inlined so the per-chunk loop sits in the kernel's own sweep.
+#[inline(always)]
+fn fold_tile<T, R, V, MG, const N: usize>(
+    chunks: impl Iterator<Item = (usize, usize)>,
+    tile: SetTile<'_, T, N>,
+    width: usize,
+    visit: &V,
+    merge: &MG,
+) -> R
+where
+    R: Default,
+    V: Fn(usize, usize, [&mut [T]; N], Option<&mut u32>) -> R,
+    MG: Fn(R, R) -> R,
+{
+    let SetTile { p0, base, mut slabs, mut masks, .. } = tile;
+    let mut acc = R::default();
+    for (pos, i) in chunks {
+        let off = (i - base) * width;
+        let slots = slabs.each_mut().map(|s| &mut s[off..off + width]);
+        let mask = masks.as_deref_mut().map(|m| &mut m[pos - p0]);
+        acc = merge(acc, visit(pos, i, slots, mask));
+    }
+    acc
+}
+
+/// One tile of a [`ChunkSet::sweep`]: positions `p0..p1`, slab views
+/// starting at chunk `base`, and the positions' change-mask slots.
+struct SetTile<'s, T, const N: usize> {
+    p0: usize,
+    p1: usize,
+    base: usize,
+    slabs: [&'s mut [T]; N],
+    masks: Option<&'s mut [u32]>,
 }
 
 #[cfg(test)]
@@ -611,27 +560,32 @@ mod tests {
     }
 
     #[test]
-    fn split_slab_covers_worklist_chunks_disjointly() {
+    fn list_sweep_writes_only_listed_chunks() {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         pool.install(|| {
             // A sparse worklist over 12 chunks of width 3; non-listed
             // chunks (1, 2, 4, 6, 8..) must never be written.
             let ids: Vec<u32> = vec![0, 3, 5, 7, 11];
-            let tiling = WorklistTiling::new(&ids, Schedule::Dynamic);
+            let full = ChunkTiling::new(12, Schedule::Dynamic);
             let mut slab = vec![0u32; 12 * 3];
-            let mut flags = vec![0u32; ids.len()];
-            let slabs = tiling.split_slab(3, &mut slab, &mut flags);
-            assert_eq!(slabs.iter().map(|s| s.ids.len()).sum::<usize>(), ids.len());
-            tiling.for_each(slabs, |s| {
-                let base0 = s.ids[0] as usize * 3;
-                for (k, &id) in s.ids.iter().enumerate() {
-                    let off = id as usize * 3 - base0;
-                    for v in &mut s.data[off..off + 3] {
-                        *v = id + 1;
-                    }
-                    s.changed[k] = 1;
-                }
-            });
+            let mut aux = vec![0u32; 12 * 3];
+            let mut masks = vec![7u32; 2]; // stale contents are reset
+            let set = ChunkSet::List(&ids);
+            let visited = set.sweep(
+                &full,
+                3,
+                [&mut slab, &mut aux],
+                Some(&mut masks),
+                |pos, i, [a, b], mask| {
+                    assert_eq!(ids[pos] as usize, i);
+                    a.fill(i as u32 + 1);
+                    b.fill(pos as u32);
+                    *mask.unwrap() = u32::from(i % 2 == 1);
+                    1usize
+                },
+                |x, y| x + y,
+            );
+            assert_eq!(visited, ids.len());
             for c in 0..12u32 {
                 let expect = if ids.contains(&c) { c + 1 } else { 0 };
                 assert!(
@@ -639,8 +593,69 @@ mod tests {
                     "chunk {c} corrupted: {slab:?}"
                 );
             }
-            assert!(flags.iter().all(|&f| f == 1));
+            assert_eq!(masks, [0, 1, 1, 1, 1]);
+            let mut pending = vec![(99, 99)];
+            assert_eq!(set.harvest(&masks, &mut pending), 4);
+            assert_eq!(pending, [(3, 1), (5, 1), (7, 1), (11, 1)]);
         });
+    }
+
+    #[test]
+    fn full_sweep_matches_plain_split_at_any_thread_count() {
+        let run_at = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let full = ChunkTiling::new(16, Schedule::Dynamic);
+                let mut slab = vec![0u32; 16 * 4];
+                let mut masks = Vec::new();
+                let order: Vec<usize> = ChunkSet::All(16).sweep(
+                    &full,
+                    4,
+                    [&mut slab],
+                    Some(&mut masks),
+                    |pos, i, [s], mask| {
+                        assert_eq!(pos, i);
+                        for (k, v) in s.iter_mut().enumerate() {
+                            *v = (i * 4 + k) as u32;
+                        }
+                        *mask.unwrap() = (i % 3) as u32;
+                        vec![i]
+                    },
+                    |mut a, mut b| {
+                        a.append(&mut b);
+                        a
+                    },
+                );
+                let mut pending = Vec::new();
+                ChunkSet::All(16).harvest(&masks, &mut pending);
+                (slab, order, pending)
+            })
+        };
+        let (slab, order, pending) = run_at(1);
+        assert!(slab.iter().enumerate().all(|(i, &v)| v as usize == i));
+        assert_eq!(order, (0..16).collect::<Vec<_>>(), "tile results merge in chunk order");
+        assert!(pending.iter().all(|&(c, m)| m == c % 3 && m != 0));
+        assert_eq!(pending.len(), 10);
+        for threads in [2, 4, 8] {
+            assert_eq!(run_at(threads), (slab.clone(), order.clone(), pending.clone()));
+        }
+    }
+
+    #[test]
+    fn empty_list_sweep_returns_the_identity() {
+        let full = ChunkTiling::new(4, Schedule::Static);
+        let mut slab = vec![0f32; 8];
+        let mut masks = vec![1u32; 3];
+        let r = ChunkSet::List(&[]).sweep(
+            &full,
+            2,
+            [&mut slab],
+            Some(&mut masks),
+            |_, _, _, _| 1usize,
+            |a, b| a + b,
+        );
+        assert_eq!(r, 0);
+        assert!(masks.is_empty());
     }
 
     #[test]

@@ -217,16 +217,16 @@ impl ChunkDepGraph {
 /// next list"), filtering each dependency edge against the seed's
 /// changed-lane mask, so the union is built without hashing or atomics;
 /// the result is sorted once, keeping tile partitions and merges
-/// deterministic at any thread count. The per-position
-/// [`changed-lane masks`](Self::split) are written by the sweep workers
-/// into disjoint tile slices and harvested in worklist order by
-/// [`collect_changed_into`](Self::collect_changed_into).
+/// deterministic at any thread count. The sweep over the worklist
+/// ([`ChunkSet::List`](crate::tiling::ChunkSet::List)) records
+/// per-position changed-lane masks, and
+/// [`ChunkSet::harvest`](crate::tiling::ChunkSet::harvest) turns them
+/// into the next seeds.
 #[derive(Clone, Debug, Default)]
 pub struct ActivationState {
     stamp: Vec<u32>,
     epoch: u32,
     worklist: Vec<u32>,
-    changed: Vec<u32>,
     activations: u64,
 }
 
@@ -330,30 +330,6 @@ impl ActivationState {
     #[inline]
     pub fn activations(&self) -> u64 {
         self.activations
-    }
-
-    /// Borrows the worklist together with a zeroed per-position
-    /// changed-lane-mask slab (one `u32` per worklist entry) for the
-    /// sweep workers to fill; the two borrows are disjoint so the masks
-    /// can be carved into `&mut` tile slices alongside the state
-    /// vectors.
-    pub fn split(&mut self) -> (&[u32], &mut [u32]) {
-        self.changed.clear();
-        self.changed.resize(self.worklist.len(), 0);
-        (&self.worklist, &mut self.changed)
-    }
-
-    /// Appends `(chunk id, changed-lane mask)` for every worklist entry
-    /// whose mask is non-zero to `out` (in worklist order, i.e.
-    /// ascending) and returns how many there were.
-    pub fn collect_changed_into(&self, out: &mut Vec<(u32, u32)>) -> usize {
-        let before = out.len();
-        for (&id, &mask) in self.worklist.iter().zip(&self.changed) {
-            if mask != 0 {
-                out.push((id, mask));
-            }
-        }
-        out.len() - before
     }
 }
 
@@ -499,21 +475,6 @@ mod tests {
         act.seed(&dep, &mut vec![(0, 0)], None);
         assert!(act.worklist().is_empty());
         assert_eq!(act.activations(), 0);
-    }
-
-    #[test]
-    fn changed_masks_round_trip() {
-        let dep = dep_of(16, &[(0, 15)]);
-        let mut act = ActivationState::new();
-        act.seed(&dep, &mut vec![(0, FULL4), (1, FULL4), (2, FULL4), (3, FULL4)], None);
-        let (ids, masks) = act.split();
-        assert_eq!(ids, &[0, 1, 2, 3]);
-        assert!(masks.iter().all(|&m| m == 0));
-        masks[1] = 0b0010;
-        masks[3] = FULL4;
-        let mut changed = Vec::new();
-        assert_eq!(act.collect_changed_into(&mut changed), 2);
-        assert_eq!(changed, vec![(1, 0b0010), (3, FULL4)]);
     }
 
     #[test]

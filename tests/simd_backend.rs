@@ -132,8 +132,8 @@ fn activation_totals<const C: usize>(g: &CsrGraph, root: VertexId) -> (u64, u64,
     let nc = s.num_chunks();
     let (mut filtered, mut granular) = (0u64, 0u64);
     for depth in 0..=max_depth {
-        // Per-chunk merged lane masks of this depth layer — what
-        // collect_changed_into hands the next worklist build.
+        // Per-chunk merged lane masks of this depth layer — what the
+        // sweep's harvest hands the next worklist build.
         let mut masks = vec![0u32; nc];
         for old in 0..n {
             if reference.dist[old] == depth {
