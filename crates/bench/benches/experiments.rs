@@ -11,9 +11,10 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use slimsell_baseline::trad_bfs;
-use slimsell_core::dirop::{run_diropt, DirOptOptions};
 use slimsell_core::matrix::SlimSellMatrix;
-use slimsell_core::{BfsEngine, BfsOptions, SelMaxSemiring, TropicalSemiring};
+use slimsell_core::{
+    run_descriptor, BfsEngine, BfsOptions, Descriptor, SelMaxSemiring, TropicalSemiring,
+};
 use slimsell_gen::kronecker::{kronecker, KroneckerParams};
 use slimsell_graph::stats::sample_roots;
 
@@ -34,7 +35,7 @@ fn bench_fig1(c: &mut Criterion) {
         })
     });
     group.bench_function("slimsell_diropt", |b| {
-        b.iter(|| black_box(run_diropt(&slim, root, &DirOptOptions::default())))
+        b.iter(|| black_box(run_descriptor(&slim, root, &Descriptor::default())))
     });
     group.finish();
 }

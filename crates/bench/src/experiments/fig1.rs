@@ -10,9 +10,8 @@
 
 use slimsell_analysis::report::{fmt_secs, TextTable};
 use slimsell_baseline::trad_bfs;
-use slimsell_core::dirop::{run_diropt, DirOptOptions};
 use slimsell_core::matrix::SlimSellMatrix;
-use slimsell_core::BfsOptions;
+use slimsell_core::{run_descriptor, BfsOptions, Descriptor};
 
 use crate::dispatch::{prepare, RepKind, SemiringKind};
 use crate::harness::ExpContext;
@@ -36,7 +35,7 @@ pub fn run(ctx: &ExpContext) -> Result<(), String> {
 
     // Algebraic BFS with SlimSell + direction optimization.
     let slim = SlimSellMatrix::<16>::build(&g, n);
-    let dir = run_diropt(&slim, root, &DirOptOptions::default());
+    let dir = run_descriptor(&slim, root, &Descriptor::default());
 
     let iters = trad.level_times.len().max(spmv.stats.iters.len()).max(dir.bfs.stats.iters.len());
     let mut t = TextTable::new([

@@ -8,8 +8,8 @@
 //! scale it runs the tropical BFS engine unmasked and under a
 //! half-graph mask (original ids `[0, n/2)` plus the root), under both
 //! the full and adaptive sweeps, and repeats the pair through the
-//! descriptor front door (`run_descriptor`, push–pull with the
-//! visited-complement mask). The comparison lands as a table (via
+//! descriptor front door (`run_descriptor`, push–pull under the same
+//! mask). The comparison lands as a table (via
 //! [`slimsell_analysis::masked::MaskedComparison`]) and as
 //! `BENCH_masked.json`; the run fails if masking was not strictly
 //! cheaper on at least two generators at scale ≥ 12 — the acceptance

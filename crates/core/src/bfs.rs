@@ -163,7 +163,7 @@ pub struct BfsOutput {
 }
 
 /// Per-run reusable buffers, owned by [`BfsEngine::run`] (and the
-/// direction-optimized drivers and the betweenness forward sweep) and
+/// direction-optimized driver and the betweenness forward sweep) and
 /// threaded through every iteration so the hot loop allocates nothing
 /// proportional to the graph: the cached full-range tiling, the
 /// worklist activation machinery, the sweep's change masks and
@@ -176,8 +176,8 @@ pub(crate) struct EngineScratch {
     pub(crate) act: ActivationState,
     /// Seeds for the next worklist: `(chunk, lane mask)` pairs for
     /// chunks whose state changed this iteration, with the mask naming
-    /// the changed rows (the direction-optimized drivers also push the
-    /// lanes their top-down steps touched).
+    /// the changed rows (the direction-optimized driver also pushes the
+    /// lanes its top-down steps touched).
     pub(crate) pending: Vec<(u32, u32)>,
     /// Adaptive sweep controller (latched mode + hysteresis).
     pub(crate) ctl: AdaptiveController,
@@ -399,7 +399,7 @@ where
 /// worklist when one is due), one sweep over that set (untiled or
 /// SlimChunk) and, when `record` is set, the harvest of the sweep's
 /// change masks into the pending seed list. The shared entry point of
-/// the engine loop, the direction-optimized drivers and the betweenness
+/// the engine loop, the direction-optimized driver and the betweenness
 /// forward sweep.
 ///
 /// `record` is the caller's change-tracking rule. Runs that may sweep a

@@ -40,7 +40,7 @@ pub struct IterStats {
     /// all: they carry the default `Full` tag with `worklist_len == 0`,
     /// which distinguishes them from real full sweeps (whose
     /// `worklist_len` is the whole chunk range) when aggregating the
-    /// trace over a [`run_diropt`](crate::dirop::run_diropt) run.
+    /// trace over a [`run_descriptor`](crate::run_descriptor) run.
     ///
     /// [`SweepMode::Full`]: crate::SweepMode::Full
     pub sweep_mode: ExecutedSweep,
@@ -77,7 +77,7 @@ pub struct IterStats {
     /// bottom-up dir-opt steps); 0 where not measured (SSSP and
     /// PageRank sweeps, top-down steps).
     pub active_cells: u64,
-    /// Lane probes paid by the direction-optimized drivers to recover
+    /// Lane probes paid by the direction-optimized driver to recover
     /// the sparse frontier after a bottom-up step. After a worklist
     /// sweep the recovery walks only the set bits of the harvested
     /// `(chunk, changed-lane mask)` pairs (one probe per discovered

@@ -1,30 +1,31 @@
-//! GraphBLAS-style descriptors: one sweep API for masked push–pull BFS.
+//! GraphBLAS-style descriptors and direction-optimized BFS.
+//!
+//! The paper notes that "the well-known direction-optimization \[3\] and
+//! other work-avoidance schemes are orthogonal to our work and can be
+//! implemented on top of SlimSell; see Figure 1" (§V). [`run_descriptor`]
+//! is that composition, and Figure 1's third curve.
 //!
 //! A [`Descriptor`] bundles everything that modulates a semiring sweep
 //! without changing its algebra: an optional vertex mask (§III of the
 //! GraphBLAS spec's descriptor concept, transplanted onto the SlimSell
 //! chunk layout), a complement flag, a push/pull [`DirectionPolicy`],
-//! and the [`SweepConfig`] policy the engine already understood. The
-//! descriptor-driven BFS in [`run_descriptor`] generalizes the
-//! hand-rolled direction optimization of [`crate::dirop`]:
+//! and the [`SweepConfig`] policy the engine already understood. Each
+//! iteration of [`run_descriptor`] is one of
 //!
 //! * **push** (top-down) steps expand an explicit frontier list through
-//!   the structure's strided rows, filtering targets by the user mask;
+//!   the structure's strided rows, labeling only unvisited targets
+//!   inside the user mask;
 //! * **pull** (bottom-up) steps run the chunk-parallel SpMV of
-//!   [`crate::bfs`] under the *effective* mask `user ∩ ¬visited` — the
-//!   visited complement is exactly what the classic bottom-up step
-//!   computes implicitly, so chunks whose vertices are all settled are
-//!   dropped before activation probing even happens (see
-//!   [`crate::worklist::ActivationState::seed`]).
+//!   [`crate::bfs`] (tropical semiring) under the user mask alone.
+//!   Settled vertices need no mask of their own: the tropical `min`
+//!   keeps their finite labels, and SlimWork skips chunks whose lanes
+//!   are all settled (§III-C).
 //!
-//! With no user mask and the [`DirectionPolicy::Auto`] heuristic, the
-//! run is bit-identical to [`crate::dirop::run_diropt`] in distances,
-//! mode sequence and per-iteration work counters (`col_steps`, `cells`)
-//! — the hand-rolled path stays in-tree as the oracle for this module.
-//! The only counters allowed to differ are worklist bookkeeping
-//! (`worklist_len`, `activations`, `chunks_skipped`), which *drop*
-//! because the visited-complement mask filters settled chunks out of
-//! the worklist instead of skipping them one by one.
+//! With no user mask, [`DirectionPolicy::Pull`] reproduces
+//! [`BfsEngine::run`](crate::BfsEngine::run) with the tropical semiring
+//! iteration by iteration, counters included
+//! (`tests/cross_validation.rs`), and `tests/counter_golden.rs` pins
+//! the per-iteration counters of every policy and sweep mode.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,19 +34,37 @@ use slimsell_graph::{VertexId, UNREACHABLE};
 
 use crate::bfs::{step, BfsOptions, BfsOutput, EngineScratch, Schedule};
 use crate::counters::{IterStats, RunStats};
-use crate::dirop::{DirOptOutput, StepMode};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{Semiring, StateVecs, TropicalSemiring};
+use crate::structure::SellStructure;
 use crate::sweep::{ExecutedSweep, SweepConfig, SweepMode};
 use crate::tiling::ChunkTiling;
+
+/// Which direction an iteration executed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StepMode {
+    /// Sparse frontier expansion.
+    TopDown,
+    /// Chunk-parallel SpMV.
+    BottomUp,
+}
+
+/// Output of a direction-optimized run: distances plus the mode sequence.
+#[derive(Clone, Debug)]
+pub struct DirOptOutput {
+    /// BFS output (distances; parents via [`crate::dp_transform`]).
+    pub bfs: BfsOutput,
+    /// The direction chosen for each iteration.
+    pub modes: Vec<StepMode>,
+}
 
 /// Per-iteration push↔pull decision rule.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DirectionPolicy {
     /// Beamer's α/β heuristic: pull when the frontier's out-edge count
     /// exceeds `m/α`, push again when the frontier shrinks below `n/β`.
-    /// The defaults (α = 14, β = 24) match [`crate::dirop`].
+    /// The defaults are α = 14, β = 24.
     Auto {
         /// Pull when frontier out-edges > `m / alpha`.
         alpha: f64,
@@ -149,12 +168,10 @@ impl Descriptor {
 
 /// Runs descriptor-driven BFS (tropical semiring) from `root`.
 ///
-/// The generalized form of [`crate::dirop::run_diropt`]: push steps
-/// expand the frontier through the structure's rows (targets outside
-/// the resolved mask are never labeled), pull steps run the masked
-/// SpMV engine under the effective mask `user ∩ ¬visited`, so settled
-/// chunks fall out of the sweep before activation probing. Vertices
-/// outside the mask keep [`UNREACHABLE`] distances.
+/// Push steps expand the frontier through the structure's rows (targets
+/// outside the resolved mask are never labeled); pull steps run the
+/// SpMV engine under the resolved mask. Vertices outside the mask keep
+/// [`UNREACHABLE`] distances.
 ///
 /// Panics if `root` is out of range or outside the resolved mask.
 pub fn run_descriptor<M, const C: usize>(
@@ -169,13 +186,15 @@ where
     let s = matrix.structure();
     let n = s.n();
     assert!((root as usize) < n, "root {root} out of range (n = {n})");
-    let user = desc.resolved_mask();
-    if let Some(u) = user.as_deref() {
+    let opts =
+        BfsOptions { config: desc.config, mask: desc.resolved_mask(), ..BfsOptions::default() };
+    let user = opts.mask.as_deref();
+    if let Some(u) = user {
         u.check_layout(s);
     }
     let root_p = s.perm().to_new(root) as usize;
     assert!(
-        user.as_deref().is_none_or(|u| u.contains(root_p)),
+        user.is_none_or(|u| u.contains(root_p)),
         "root {root} is not in the descriptor's resolved vertex mask"
     );
     let np = s.n_padded();
@@ -186,17 +205,6 @@ where
     let mut d = vec![0.0f32; np];
     S::init(&mut cur, &mut d, n, root_p);
 
-    // Effective pull mask, maintained incrementally: user ∩ ¬visited.
-    // Newly labeled vertices are removed after every step, so pull
-    // iterations skip fully settled chunks at seed time instead of
-    // probing and SlimWork-skipping them.
-    let mut eff: Arc<VertexMask> = match user.as_deref() {
-        Some(u) => Arc::new(u.clone()),
-        None => Arc::new(VertexMask::full(n, C)),
-    };
-    Arc::make_mut(&mut eff).remove(root_p);
-
-    let base_opts = BfsOptions::default().config(desc.config);
     let mut scratch = EngineScratch::new();
     let track_wl = desc.config.sweep.uses_worklist();
     if track_wl {
@@ -209,7 +217,7 @@ where
     }
 
     let mut frontier: Vec<u32> = vec![root_p as u32];
-    let mut frontier_edges: u64 = s.row_len(root_p) as u64;
+    let mut spare: Vec<u32> = Vec::new();
     let mut stats = RunStats::default();
     let mut modes = Vec::new();
     let mut depth = 0u32;
@@ -220,9 +228,15 @@ where
 
     while !frontier.is_empty() {
         depth += 1;
+        let t0 = Instant::now();
         if let DirectionPolicy::Auto { alpha, beta } = desc.direction {
+            // The frontier's out-edges are summed only in push mode,
+            // the one place the rule reads them.
             mode = match mode {
-                StepMode::TopDown if frontier_edges as f64 > m2 as f64 / alpha => {
+                StepMode::TopDown
+                    if frontier.iter().map(|&w| s.row_len(w as usize)).sum::<usize>() as f64
+                        > m2 as f64 / alpha =>
+                {
                     StepMode::BottomUp
                 }
                 StepMode::BottomUp if (frontier.len() as f64) < n as f64 / beta => {
@@ -232,37 +246,26 @@ where
             };
         }
         modes.push(mode);
-        let t0 = Instant::now();
-        match mode {
+        let mut it = match mode {
             StepMode::TopDown => {
-                let mut next = Vec::new();
-                let mut scanned = 0u64;
-                for &v in &frontier {
-                    for w in s.row_neighbors(v as usize) {
-                        scanned += 1;
-                        // The effective mask combines "allowed by the
-                        // user" and "not yet labeled" in one bit test.
-                        if cur.x[w as usize] == f32::INFINITY && eff.contains(w as usize) {
-                            cur.x[w as usize] = depth as f32;
-                            if track_wl {
-                                scratch.pending.push((w / C as u32, 1u32 << (w as usize % C)));
-                            }
-                            next.push(w);
-                        }
+                let pending = track_wl.then_some(&mut scratch.pending);
+                let scanned = match user {
+                    None => {
+                        push_step(s, &frontier, &mut spare, &mut cur.x, depth, pending, |_| true)
                     }
-                }
-                frontier_edges = next.iter().map(|&w| s.row_len(w as usize) as u64).sum();
-                frontier = next;
-                stats.iters.push(IterStats {
-                    elapsed: t0.elapsed(),
-                    col_steps: scanned,
-                    cells: scanned,
-                    changed: !frontier.is_empty(),
-                    ..Default::default()
-                });
+                    Some(u) => {
+                        push_step(s, &frontier, &mut spare, &mut cur.x, depth, pending, |w| {
+                            u.contains(w)
+                        })
+                    }
+                };
+                std::mem::swap(&mut frontier, &mut spare);
+                // Not an SpMV sweep: the default Full tag with
+                // worklist_len == 0 marks it as a top-down step (see
+                // IterStats::sweep_mode).
+                IterStats { col_steps: scanned, cells: scanned, ..Default::default() }
             }
             StepMode::BottomUp => {
-                let opts = base_opts.clone().mask(Some(Arc::clone(&eff)));
                 let mut it = step::<M, S, C>(
                     matrix,
                     &cur,
@@ -273,21 +276,14 @@ where
                     &mut scratch,
                     track_wl,
                 );
-                drop(opts); // release the Arc so the mask update below stays in place
-                let next = bottom_up_frontier::<C>(&mut it, &scratch.pending, &cur.x, &nxt.x, n);
+                frontier = bottom_up_frontier::<C>(&mut it, &scratch.pending, &cur.x, &nxt.x, n);
                 std::mem::swap(&mut cur, &mut nxt);
-                frontier_edges = next.iter().map(|&w| s.row_len(w as usize) as u64).sum();
-                frontier = next;
-                it.elapsed = t0.elapsed();
-                it.changed = !frontier.is_empty();
-                stats.iters.push(it);
+                it
             }
-        }
-        // Settle the newly labeled vertices out of the effective mask.
-        let eff_mut = Arc::make_mut(&mut eff);
-        for &w in &frontier {
-            eff_mut.remove(w as usize);
-        }
+        };
+        it.elapsed = t0.elapsed();
+        it.changed = !frontier.is_empty();
+        stats.iters.push(it);
     }
 
     let perm = s.perm();
@@ -304,10 +300,41 @@ where
     DirOptOutput { bfs: BfsOutput { dist, parent: None, stats }, modes }
 }
 
+/// One push step: labels every unvisited neighbor `w` of the frontier
+/// with `allowed(w)` at `depth`, in place in `x`, replaces `next` with
+/// the new frontier (in discovery order) and returns the number of
+/// arcs scanned. With `pending`, each labeled vertex's chunk and lane
+/// go on the seed list of the next worklist sweep. `allowed` is a type
+/// parameter so the unmasked run pays no per-arc mask test.
+fn push_step<const C: usize>(
+    s: &SellStructure<C>,
+    frontier: &[u32],
+    next: &mut Vec<u32>,
+    x: &mut [f32],
+    depth: u32,
+    mut pending: Option<&mut Vec<(u32, u32)>>,
+    allowed: impl Fn(usize) -> bool,
+) -> u64 {
+    next.clear();
+    let mut scanned = 0u64;
+    for &v in frontier {
+        for w in s.row_neighbors(v as usize) {
+            scanned += 1;
+            if x[w as usize] == f32::INFINITY && allowed(w as usize) {
+                x[w as usize] = depth as f32;
+                if let Some(p) = pending.as_deref_mut() {
+                    p.push((w / C as u32, 1u32 << (w as usize % C)));
+                }
+                next.push(w);
+            }
+        }
+    }
+    scanned
+}
+
 /// Recovers the sparse frontier after a bottom-up step, in ascending
-/// vertex order, and charges its lane probes to `it.frontier_probes` —
-/// shared by [`run_descriptor`] and [`crate::dirop::run_diropt`]. The
-/// scan follows the sweep the step actually ran (`it.sweep_mode`), not
+/// vertex order, and charges its lane probes to `it.frontier_probes`.
+/// The scan follows the sweep the step actually ran (`it.sweep_mode`), not
 /// the configured policy: an adaptive step may have swept either way.
 ///
 /// After a worklist sweep the harvested `pending` list holds exactly
@@ -316,7 +343,7 @@ where
 /// bits yields the frontier at one probe per discovered vertex. After a
 /// full sweep every vertex is probed, in parallel over contiguous vertex
 /// ranges whose ordered merge keeps the frontier sorted.
-pub(crate) fn bottom_up_frontier<const C: usize>(
+fn bottom_up_frontier<const C: usize>(
     it: &mut IterStats,
     pending: &[(u32, u32)],
     cur_x: &[f32],
@@ -366,6 +393,31 @@ mod tests {
             let out = run_descriptor(&slim, root, &Descriptor::default().sweep(sweep));
             assert_eq!(out.bfs.dist, serial_bfs(&g, root).dist, "{sweep:?}");
         }
+    }
+
+    #[test]
+    fn auto_stays_top_down_on_path() {
+        let n = 50u32;
+        let g = GraphBuilder::new(n as usize).edges((0..n - 1).map(|v| (v, v + 1))).build();
+        let slim = SlimSellMatrix::<4>::build(&g, 50);
+        let out = run_descriptor(&slim, 0, &Descriptor::default());
+        assert_eq!(out.bfs.dist, serial_bfs(&g, 0).dist);
+        // A path frontier never grows: all steps stay top-down.
+        assert!(out.modes.iter().all(|&m| m == StepMode::TopDown));
+    }
+
+    #[test]
+    fn auto_switches_to_bottom_up_on_dense_graph() {
+        let g = kronecker(10, 16.0, KroneckerParams::GRAPH500, 3);
+        let root = (0..1024u32).find(|&v| g.degree(v) > 0).unwrap();
+        let slim = SlimSellMatrix::<8>::build(&g, 1024);
+        let out = run_descriptor(&slim, root, &Descriptor::default());
+        assert_eq!(out.bfs.dist, serial_bfs(&g, root).dist);
+        assert!(
+            out.modes.contains(&StepMode::BottomUp),
+            "dense power-law graph should trigger bottom-up, modes = {:?}",
+            out.modes
+        );
     }
 
     #[test]

@@ -27,12 +27,11 @@
 //!   allowed-lane word per chunk, padding lanes always set,
 //!   popcount-tracked updates. Every semiring sweep accepts one.
 //! * [`descriptor`] — GraphBLAS-style descriptors ((complemented)
-//!   mask + push/pull policy + [`SweepConfig`]) and the
-//!   descriptor-driven BFS that generalizes [`dirop`].
+//!   mask + push/pull policy + [`SweepConfig`]) and direction-optimized
+//!   BFS (the third curve of Figure 1): sparse top-down steps on the
+//!   SlimSell structure, SpMV bottom-up steps when the frontier is
+//!   large.
 //! * [`dp`] — the `DP` distance→parent transformation (§II-C).
-//! * [`dirop`] — direction-optimized algebraic BFS (the third curve of
-//!   Figure 1): sparse top-down steps on the SlimSell structure, SpMV
-//!   bottom-up steps when the frontier is large.
 //! * [`storage`] — Table III storage accounting.
 //! * [`counters`] — per-iteration work/time statistics used by every
 //!   experiment harness.
@@ -60,7 +59,11 @@ pub mod bfs;
 pub mod components;
 pub mod counters;
 pub mod descriptor;
-pub mod dirop;
+/// The former home of [`descriptor::StepMode`], kept as a re-export for
+/// callers that still import it from here.
+pub mod dirop {
+    pub use crate::descriptor::StepMode;
+}
 pub mod dp;
 pub mod mask;
 pub mod matrix;

@@ -230,8 +230,8 @@ impl VertexMask {
 
     /// Inserts every set lane of `lane_mask` in chunk `i` (real lanes
     /// only) and returns how many were newly inserted — the bulk form
-    /// the descriptor driver feeds with the worklist's changed-lane
-    /// harvest, one popcount per chunk instead of per-vertex updates.
+    /// for a harvested `(chunk, changed-lane mask)` pair, one popcount
+    /// per chunk instead of per-vertex updates.
     pub fn insert_lanes(&mut self, i: usize, lane_mask: u32) -> u32 {
         let add = lane_mask & self.real(i) & !self.allowed[i];
         self.allowed[i] |= add;
@@ -281,9 +281,8 @@ impl VertexMask {
         self.ones = ones;
     }
 
-    /// Difference `self \ other` (same dimensions required) — the
-    /// descriptor driver's per-iteration `user ∩ ¬visited` pull mask,
-    /// computed without materializing the complement.
+    /// Difference `self \ other` (same dimensions required), computed
+    /// without materializing the complement.
     #[must_use]
     pub fn and_not(&self, other: &Self) -> Self {
         let mut out = self.clone();

@@ -215,4 +215,12 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    #[should_panic(expected = "unsupported chunk height C=64")]
+    fn chunk_height_beyond_lane_mask_width_rejected() {
+        // Lane masks are `u32`: C = 64 must fail at build, not at the
+        // first worklist sweep.
+        SlimSellMatrix::<64>::build(&g(), 6);
+    }
 }

@@ -54,10 +54,15 @@ impl<const C: usize> SellStructure<C> {
     /// n` is the full sort of §IV's "σ = n").
     ///
     /// # Panics
-    /// Panics if `C` is not one of the supported lane counts or the graph
-    /// is empty.
+    /// Panics if `C` is not one of [`slimsell_simd::SUPPORTED_LANES`]
+    /// (4, 8, 16 or 32: every lane mask is a `u32`) or the graph is
+    /// empty.
     pub fn build(g: &CsrGraph, sigma: usize) -> Self {
-        assert!(C.is_power_of_two() && (4..=64).contains(&C), "unsupported chunk height C={C}");
+        assert!(
+            slimsell_simd::SUPPORTED_LANES.contains(&C),
+            "unsupported chunk height C={C} (supported lane counts: {:?})",
+            slimsell_simd::SUPPORTED_LANES
+        );
         let n = g.num_vertices();
         assert!(n > 0, "cannot build a Sell structure for an empty graph");
         let sigma = sigma.clamp(1, n);

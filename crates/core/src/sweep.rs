@@ -94,7 +94,7 @@ use crate::worklist::{ActivationState, ChunkDepGraph};
 /// SpMV pass).
 ///
 /// The default is read from the `SLIMSELL_SWEEP` env var (once per
-/// process): `full`, `worklist`, or `adaptive`. Unset means
+/// process): `full`, `worklist`, or `adaptive`. Unset or empty means
 /// [`SweepMode::Adaptive`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SweepMode {
@@ -110,14 +110,14 @@ pub enum SweepMode {
 
 impl SweepMode {
     /// Parses the `SLIMSELL_SWEEP` value into a mode (case-insensitive);
-    /// absent ⇒ [`SweepMode::Adaptive`].
+    /// absent or empty ⇒ [`SweepMode::Adaptive`].
     ///
     /// # Panics
     /// Panics on an unrecognized value — a misspelled CI matrix leg
     /// must fail loudly, not silently test the default.
     pub fn parse_env(sweep: Option<&str>) -> Self {
         match sweep.map(str::to_ascii_lowercase).as_deref() {
-            None => SweepMode::Adaptive,
+            None | Some("") => SweepMode::Adaptive,
             Some("full") => SweepMode::Full,
             Some("worklist") => SweepMode::Worklist,
             Some("adaptive") => SweepMode::Adaptive,
@@ -182,12 +182,10 @@ impl ExecutedSweep {
 
 /// The sweep-policy pair shared by every kernel's options struct: which
 /// [`SweepMode`] drives the iteration loop and which tile [`Schedule`]
-/// distributes chunks over threads. PR 10 extracted it from the six
-/// per-kernel `*Options` structs (`BfsOptions`, `DirOptOptions`,
-/// `SsspOptions`, `PageRankOptions`, `MsBfsOptions`,
-/// `BetweennessOptions`), which had grown identical `sweep`/`schedule`
-/// field pairs independently; embedding one `SweepConfig` keeps the
-/// env-var default logic and the builder surface in exactly one place.
+/// distributes chunks over threads. `BfsOptions`, `SsspOptions`,
+/// `PageRankOptions`, `MsBfsOptions`, `BetweennessOptions` and
+/// `Descriptor` all embed one `SweepConfig`, which keeps the env-var
+/// default logic and the builder surface in exactly one place.
 ///
 /// Construct with [`SweepConfig::default`] (reads `SLIMSELL_SWEEP`,
 /// dynamic scheduling) and refine with the consuming builders:
@@ -380,6 +378,7 @@ mod tests {
     #[test]
     fn env_parse_unset_defaults_to_adaptive() {
         assert_eq!(SweepMode::parse_env(None), SweepMode::Adaptive);
+        assert_eq!(SweepMode::parse_env(Some("")), SweepMode::Adaptive);
     }
 
     #[test]

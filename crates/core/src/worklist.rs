@@ -259,8 +259,9 @@ impl ActivationState {
     /// *self edge* is exempt from the filter: a chunk that changed
     /// last iteration has a stale double-buffered slot that must be
     /// rewritten (via copy-forward if nothing else) before the next
-    /// buffer swap, even when a *shrinking* mask — the descriptor
-    /// driver's visited complement — has since masked it out entirely.
+    /// buffer swap, whatever the mask says about it. The worklist
+    /// invariant therefore never depends on the caller passing the
+    /// same mask every iteration.
     pub fn seed(
         &mut self,
         dep: &ChunkDepGraph,

@@ -11,7 +11,7 @@
 //! cargo run --release --example road_navigation
 //! ```
 
-use slimsell::core::dirop::StepMode;
+use slimsell::core::descriptor::StepMode;
 use slimsell::prelude::*;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
     );
 
     // Direction-optimized: tiny frontiers run sparse top-down steps.
-    let dir = run_diropt(&matrix, root, &DirOptOptions::default());
+    let dir = run_descriptor(&matrix, root, &Descriptor::default());
     let td = dir.modes.iter().filter(|&&m| m == StepMode::TopDown).count();
     let bu = dir.modes.len() - td;
     println!(

@@ -52,7 +52,6 @@ pub use slimsell_simt as simt;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use slimsell_core::dirop::{run_diropt, DirOptOptions};
     pub use slimsell_core::matrix::{ChunkMatrix, SellCSigma, SlimSellMatrix};
     pub use slimsell_core::{
         betweenness_exact, betweenness_from_sources, dp_transform, graph500_validate, multi_bfs,

@@ -43,8 +43,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/msbfs-8/worklist", 0xdec7e72c36c6c6ea),
     ("kron10/pagerank/worklist", 0xa39f60a41f35f7d3),
     ("kron10/betweenness-forward/worklist", 0xb3d126f954bcba2a),
-    ("kron10/descriptor/worklist", 0x71a6ce1cf10a4166),
-    ("kron10/descriptor-pull/worklist", 0x5afb9a8223275933),
+    ("kron10/descriptor/worklist", 0xc0fc8a205d7898ca),
+    ("kron10/descriptor-pull/worklist", 0x82d25c9f080a3e31),
     ("kron10/bfs-tropical/adaptive", 0x5119007ebb97fe5e),
     ("kron10/bfs-selmax/adaptive", 0x5119007ebb97fe5e),
     ("kron10/bfs-boolean/adaptive", 0x32e67e5edf463024),
@@ -54,7 +54,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/pagerank/adaptive", 0xfcfa137014087917),
     ("kron10/betweenness-forward/adaptive", 0x32e67e5edf463024),
     ("kron10/descriptor/adaptive", 0x87b600c9e0407bce),
-    ("kron10/descriptor-pull/adaptive", 0x450012ba4499be6a),
+    ("kron10/descriptor-pull/adaptive", 0x6e80b713587910aa),
     ("road11/bfs-tropical/full", 0xb068cee66ad41728),
     ("road11/bfs-selmax/full", 0xb068cee66ad41728),
     ("road11/bfs-boolean/full", 0xb068cee66ad41728),
@@ -74,7 +74,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/pagerank/worklist", 0x4a63ef3f826aca8e),
     ("road11/betweenness-forward/worklist", 0x5ea48b6fbfa1d417),
     ("road11/descriptor/worklist", 0x857f00e52c676d44),
-    ("road11/descriptor-pull/worklist", 0x4fbbb4a2ab0f70e0),
+    ("road11/descriptor-pull/worklist", 0x935a51e4c26d168a),
     ("road11/bfs-tropical/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-selmax/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-boolean/adaptive", 0x5ea48b6fbfa1d417),
@@ -84,7 +84,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/pagerank/adaptive", 0xa104022ac2bad345),
     ("road11/betweenness-forward/adaptive", 0x5ea48b6fbfa1d417),
     ("road11/descriptor/adaptive", 0x857f00e52c676d44),
-    ("road11/descriptor-pull/adaptive", 0x4fbbb4a2ab0f70e0),
+    ("road11/descriptor-pull/adaptive", 0x935a51e4c26d168a),
 ];
 
 /// FNV-1a over the little-endian bytes of a run's counter tuples.

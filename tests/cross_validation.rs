@@ -2,7 +2,7 @@
 //! agree with the serial textbook reference on every graph family.
 
 use slimsell::baseline::{dirop_bfs, spmspv_bfs, trad_bfs, Dedup, DirOptBfsOptions};
-use slimsell::core::dirop::{run_diropt, DirOptOptions};
+use slimsell::core::descriptor::StepMode;
 use slimsell::prelude::*;
 
 /// Debug builds run the identical configuration matrix on smaller
@@ -117,44 +117,44 @@ fn algebraic_diropt_agrees() {
         let root = root_of(&g);
         let reference = serial_bfs(&g, root);
         let slim = SlimSellMatrix::<8>::build(&g, g.num_vertices());
-        let out = run_diropt(&slim, root, &DirOptOptions::default());
+        let out = run_descriptor(&slim, root, &Descriptor::default());
         assert_eq!(out.bfs.dist, reference.dist, "{name} algebraic dirop");
     }
 }
 
 #[test]
-fn descriptor_reproduces_diropt_counters() {
-    // The descriptor driver with no user mask is the generalized form
-    // of the hand-rolled direction optimization: distances, the
-    // push/pull mode sequence, iteration count and the per-iteration
-    // work counters (col_steps, cells) must be bit-identical on every
-    // family. Worklist bookkeeping (activations) may only *drop*,
-    // because the visited-complement mask filters settled chunks out
-    // of the worklist instead of probing and SlimWork-skipping them.
+fn descriptor_pull_reproduces_engine_counters() {
+    // An unmasked all-pull descriptor run is the tropical BFS engine
+    // with a frontier recovered after every step: distances, iteration
+    // count and every per-iteration work and worklist counter must be
+    // bit-identical on every family and in every sweep mode.
     for (name, g) in families() {
         let root = root_of(&g);
         let slim = SlimSellMatrix::<8>::build(&g, g.num_vertices());
         for sweep in [SweepMode::Full, SweepMode::Worklist, SweepMode::Adaptive] {
-            let oracle = run_diropt(&slim, root, &DirOptOptions::default().sweep(sweep));
-            let desc = Descriptor::default().sweep(sweep);
+            let engine = BfsEngine::run::<_, TropicalSemiring, 8>(
+                &slim,
+                root,
+                &BfsOptions::default().sweep(sweep),
+            );
+            let desc = Descriptor::default().direction(DirectionPolicy::Pull).sweep(sweep);
             let out = run_descriptor(&slim, root, &desc);
-            assert_eq!(out.bfs.dist, oracle.bfs.dist, "{name} {sweep:?} dist");
-            assert_eq!(out.modes, oracle.modes, "{name} {sweep:?} mode sequence");
+            assert_eq!(out.bfs.dist, engine.dist, "{name} {sweep:?} dist");
+            assert!(out.modes.iter().all(|&m| m == StepMode::BottomUp), "{name} {sweep:?}");
             assert_eq!(
                 out.bfs.stats.num_iterations(),
-                oracle.bfs.stats.num_iterations(),
+                engine.stats.num_iterations(),
                 "{name} {sweep:?} iterations"
             );
-            for (k, (a, b)) in out.bfs.stats.iters.iter().zip(&oracle.bfs.stats.iters).enumerate() {
-                assert_eq!(a.col_steps, b.col_steps, "{name} {sweep:?} iter {k} col_steps");
-                assert_eq!(a.cells, b.cells, "{name} {sweep:?} iter {k} cells");
+            for (k, (a, b)) in out.bfs.stats.iters.iter().zip(&engine.stats.iters).enumerate() {
+                let ctx = format!("{name} {sweep:?} iter {k}");
+                assert_eq!(a.col_steps, b.col_steps, "{ctx} col_steps");
+                assert_eq!(a.cells, b.cells, "{ctx} cells");
+                assert_eq!(a.activations, b.activations, "{ctx} activations");
+                assert_eq!(a.worklist_len, b.worklist_len, "{ctx} worklist_len");
+                assert_eq!(a.chunks_processed, b.chunks_processed, "{ctx} chunks_processed");
+                assert_eq!(a.changed_chunks, b.changed_chunks, "{ctx} changed_chunks");
             }
-            assert!(
-                out.bfs.stats.total_activations() <= oracle.bfs.stats.total_activations(),
-                "{name} {sweep:?}: descriptor paid {} activations, dirop {}",
-                out.bfs.stats.total_activations(),
-                oracle.bfs.stats.total_activations()
-            );
         }
     }
 }

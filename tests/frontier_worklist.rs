@@ -175,13 +175,13 @@ fn worklist_direction_optimized_matches_on_high_diameter_graphs() {
         let m = SlimSellMatrix::<8>::build(&g, g.num_vertices());
         let reference = serial_bfs(&g, root);
         // Force bottom-up so the worklist path actually runs.
-        let mk = |sweep| DirOptOptions {
-            alpha: f64::INFINITY,
-            beta: f64::INFINITY,
-            spmv: BfsOptions::default().sweep(sweep),
+        let mk = |sweep| {
+            Descriptor::default()
+                .direction(DirectionPolicy::Auto { alpha: f64::INFINITY, beta: f64::INFINITY })
+                .sweep(sweep)
         };
-        let full = run_diropt(&m, root, &mk(SweepMode::Full));
-        let wl = run_diropt(&m, root, &mk(SweepMode::Worklist));
+        let full = run_descriptor(&m, root, &mk(SweepMode::Full));
+        let wl = run_descriptor(&m, root, &mk(SweepMode::Worklist));
         assert_eq!(full.bfs.dist, reference.dist, "{name}: full diropt wrong");
         assert_eq!(wl.bfs.dist, reference.dist, "{name}: worklist diropt wrong");
         assert_eq!(wl.modes, full.modes, "{name}: mode sequences diverged");

@@ -1,10 +1,10 @@
 //! Masked-kernel suite: mask-algebra laws, the full-mask ≡ unmasked
 //! bit-identity (counters included), masked traversals checked against
 //! filtered-subgraph references, and the frontier-probe accounting of
-//! the direction-optimized drivers.
+//! the direction-optimized driver.
 
 use proptest::prelude::*;
-use slimsell::core::dirop::{run_diropt, DirOptOptions, StepMode};
+use slimsell::core::descriptor::StepMode;
 use slimsell::prelude::*;
 use std::sync::Arc;
 
@@ -262,8 +262,8 @@ fn bottom_up_frontier_probes_drop_on_road_network() {
     // graph forced into pure bottom-up mode, worklist sweeps recover
     // each iteration's frontier from the harvested change masks
     // (O(|changed|) probes) where full sweeps scan all n vertices per
-    // iteration. The probe counters must show the gap — for the
-    // hand-rolled diropt driver and the descriptor front door alike.
+    // iteration. The probe counters must show the gap — under the
+    // α/β heuristic pinned to bottom-up and under forced pull alike.
     let n = 1usize << 13;
     let g = slimsell::gen::geometric::road_network(n, 2.8, 77);
     let root = slimsell::graph::stats::sample_roots(&g, 1)[0];
@@ -271,12 +271,10 @@ fn bottom_up_frontier_probes_drop_on_road_network() {
     // alpha = ∞ flips to bottom-up after the first hop; beta = ∞ never
     // goes back.
     let probe = |sweep: SweepMode| {
-        let opts = DirOptOptions {
-            alpha: f64::INFINITY,
-            beta: f64::INFINITY,
-            spmv: BfsOptions::default().sweep(sweep),
-        };
-        let out = run_diropt(&slim, root, &opts);
+        let opts = Descriptor::default()
+            .direction(DirectionPolicy::Auto { alpha: f64::INFINITY, beta: f64::INFINITY })
+            .sweep(sweep);
+        let out = run_descriptor(&slim, root, &opts);
         assert!(
             out.modes[1..].iter().all(|&m| m == StepMode::BottomUp),
             "{sweep:?}: driver did not stay bottom-up"
@@ -291,7 +289,7 @@ fn bottom_up_frontier_probes_drop_on_road_network() {
         wl_probes * 4 < full_probes,
         "change-mask recovery did not pay off: worklist {wl_probes} vs full {full_probes} probes"
     );
-    // Descriptor drivers inherit the same recovery path.
+    // Forced pull takes the same recovery path.
     let desc_probe = |sweep: SweepMode| {
         let desc = Descriptor::default().direction(DirectionPolicy::Pull).sweep(sweep);
         let out = run_descriptor(&slim, root, &desc);

@@ -18,7 +18,6 @@
 //! in-process equivalent of running under `SLIMSELL_THREADS=1/2/8`
 //! (which CI also exercises across the whole suite).
 
-use slimsell::core::dirop::{run_diropt, DirOptOptions};
 use slimsell::core::{
     betweenness_from_sources_with, multi_bfs_with, BetweennessOptions, MsBfsOptions,
 };
@@ -172,18 +171,14 @@ fn adaptive_schedules_and_slimchunk_bit_identical() {
 fn adaptive_direction_optimized_bit_identical() {
     let (g, root) = graph();
     let slim = SlimSellMatrix::<8>::build(&g, g.num_vertices());
-    let opts = DirOptOptions {
-        spmv: BfsOptions::default().sweep(SweepMode::Adaptive),
-        ..Default::default()
-    };
-    let reference = with_threads(1, || run_diropt(&slim, root, &opts));
-    let full_opts =
-        DirOptOptions { spmv: BfsOptions::default().sweep(SweepMode::Full), ..Default::default() };
-    let full = with_threads(1, || run_diropt(&slim, root, &full_opts));
+    let opts = Descriptor::default().sweep(SweepMode::Adaptive);
+    let reference = with_threads(1, || run_descriptor(&slim, root, &opts));
+    let full_opts = Descriptor::default().sweep(SweepMode::Full);
+    let full = with_threads(1, || run_descriptor(&slim, root, &full_opts));
     assert_eq!(reference.bfs.dist, full.bfs.dist, "adaptive diropt distances diverged");
     assert_eq!(reference.modes, full.modes, "adaptive diropt mode sequence diverged");
     for threads in THREAD_COUNTS {
-        let out = with_threads(threads, || run_diropt(&slim, root, &opts));
+        let out = with_threads(threads, || run_descriptor(&slim, root, &opts));
         assert_eq!(out.bfs.dist, reference.bfs.dist, "adaptive diropt dist at {threads} threads");
         assert_eq!(out.modes, reference.modes, "adaptive diropt modes at {threads} threads");
     }
@@ -193,23 +188,19 @@ fn adaptive_direction_optimized_bit_identical() {
 fn worklist_direction_optimized_bit_identical() {
     let (g, root) = graph();
     let slim = SlimSellMatrix::<8>::build(&g, g.num_vertices());
-    let opts = DirOptOptions {
-        spmv: BfsOptions::default().sweep(SweepMode::Worklist),
-        ..Default::default()
-    };
-    let reference = with_threads(1, || run_diropt(&slim, root, &opts));
+    let opts = Descriptor::default().sweep(SweepMode::Worklist);
+    let reference = with_threads(1, || run_descriptor(&slim, root, &opts));
     // The worklist must not perturb the heuristic: same distances and
     // mode sequence as the full-sweep diropt. Pin the sweep mode
     // explicitly — under the SLIMSELL_SWEEP=worklist CI leg the
     // default would silently be worklist mode and the comparison
     // vacuous.
-    let full_opts =
-        DirOptOptions { spmv: BfsOptions::default().sweep(SweepMode::Full), ..Default::default() };
-    let full = with_threads(1, || run_diropt(&slim, root, &full_opts));
+    let full_opts = Descriptor::default().sweep(SweepMode::Full);
+    let full = with_threads(1, || run_descriptor(&slim, root, &full_opts));
     assert_eq!(reference.bfs.dist, full.bfs.dist, "worklist diropt distances diverged");
     assert_eq!(reference.modes, full.modes, "worklist diropt mode sequence diverged");
     for threads in THREAD_COUNTS {
-        let out = with_threads(threads, || run_diropt(&slim, root, &opts));
+        let out = with_threads(threads, || run_descriptor(&slim, root, &opts));
         assert_eq!(out.bfs.dist, reference.bfs.dist, "wl diropt dist at {threads} threads");
         assert_eq!(out.modes, reference.modes, "wl diropt modes at {threads} threads");
     }
@@ -219,9 +210,9 @@ fn worklist_direction_optimized_bit_identical() {
 fn direction_optimized_bit_identical() {
     let (g, root) = graph();
     let slim = SlimSellMatrix::<8>::build(&g, g.num_vertices());
-    let reference = with_threads(1, || run_diropt(&slim, root, &DirOptOptions::default()));
+    let reference = with_threads(1, || run_descriptor(&slim, root, &Descriptor::default()));
     for threads in THREAD_COUNTS {
-        let out = with_threads(threads, || run_diropt(&slim, root, &DirOptOptions::default()));
+        let out = with_threads(threads, || run_descriptor(&slim, root, &Descriptor::default()));
         assert_eq!(out.bfs.dist, reference.bfs.dist, "diropt dist at {threads} threads");
         assert_eq!(out.modes, reference.modes, "diropt mode sequence at {threads} threads");
     }
@@ -267,10 +258,10 @@ fn masked_engine_bit_identical_across_thread_counts() {
 
 #[test]
 fn masked_descriptor_bit_identical_across_thread_counts() {
-    // The descriptor driver's shrinking visited-complement mask is
-    // recomputed from deterministic per-iteration change masks, so its
-    // whole trace (distances, push/pull modes, work counters) must be
-    // byte-equal at any thread count.
+    // Push steps walk the frontier in a fixed order and pull steps ride
+    // the positional-write sweep under a fixed mask, so the whole trace
+    // (distances, push/pull modes, work counters) must be byte-equal
+    // at any thread count.
     let (g, root) = graph();
     let slim = SlimSellMatrix::<8>::build(&g, g.num_vertices());
     let mut keep: Vec<VertexId> = (0..g.num_vertices() as VertexId / 2).collect();
