@@ -124,7 +124,7 @@ impl WorklistComparison {
 /// sweep modes of the same BFS. The acceptance shape: adaptive's column
 /// steps must never exceed the worse pure mode (per iteration it runs
 /// one of the two pure dispatchers) and should track the better one
-/// closely; `mode_switches`/`worklist_iters` expose the controller's
+/// closely; `mode_switches`/`worklist_iters` expose the gate's
 /// decision trace.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveComparison {
@@ -136,7 +136,7 @@ pub struct AdaptiveComparison {
     pub worklist_col_steps: u64,
     /// Total column steps of the adaptive run.
     pub adaptive_col_steps: u64,
-    /// Sweep-mode switches the adaptive controller performed.
+    /// Sweep-mode switches the adaptive gate made.
     pub mode_switches: usize,
     /// Adaptive iterations executed as worklist sweeps.
     pub worklist_iters: usize,

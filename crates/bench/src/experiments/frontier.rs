@@ -9,7 +9,7 @@
 //! SlimWork" (§IV-A5): road-network-like geometric graphs and
 //! small-world ring lattices, whose diameters are in the hundreds — and
 //! it inverts in Kronecker's flood regime, which is what the adaptive
-//! controller (`SweepMode::Adaptive`, the default) is for. The sweep
+//! gate (`SweepMode::Adaptive`, the default) is for. The sweep
 //! crosses `{kronecker, geometric, smallworld} × {full, worklist,
 //! adaptive}` over scales `10..=--scale-log2` (pass `--adaptive 0` to
 //! drop the adaptive axis), records wall time and the exact work

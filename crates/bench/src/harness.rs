@@ -9,6 +9,32 @@ use std::time::Instant;
 
 use slimsell_analysis::report::TextTable;
 
+/// Whether an option value parses as the option's type.
+type ValueCheck = fn(&str) -> bool;
+
+fn parses_as<T: std::str::FromStr>(v: &str) -> bool {
+    v.parse::<T>().is_ok()
+}
+
+/// Every numeric option any experiment reads, with the type it parses
+/// as. [`Args::parse`] checks their values up front, so a malformed
+/// number is a usage error before anything runs.
+const NUMERIC_OPTIONS: &[(&str, ValueCheck)] = &[
+    ("adaptive", parses_as::<u32>),
+    ("budget-log2", parses_as::<u32>),
+    ("deadline-us", parses_as::<u64>),
+    ("gpu-ghz", parses_as::<f64>),
+    ("queries", parses_as::<usize>),
+    ("retries", parses_as::<usize>),
+    ("rho", parses_as::<f64>),
+    ("runs", parses_as::<usize>),
+    ("scale-log2", parses_as::<u32>),
+    ("scale-shift", parses_as::<u32>),
+    ("seed", parses_as::<u64>),
+    ("shift", parses_as::<u32>),
+    ("tile", parses_as::<usize>),
+];
+
 /// Parsed command-line arguments: one positional experiment name plus
 /// `--key value` options.
 #[derive(Clone, Debug, Default)]
@@ -20,6 +46,7 @@ pub struct Args {
 
 impl Args {
     /// Parses from an iterator of arguments (excluding `argv[0]`).
+    /// Rejects a malformed value for any numeric option.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut it = args.into_iter();
         let experiment = it.next().ok_or("missing experiment name")?;
@@ -27,12 +54,19 @@ impl Args {
         while let Some(k) = it.next() {
             let key = k.strip_prefix("--").ok_or_else(|| format!("expected --flag, got {k:?}"))?;
             let v = it.next().ok_or_else(|| format!("missing value for --{key}"))?;
+            if NUMERIC_OPTIONS.iter().any(|&(k, ok)| k == key && !ok(&v)) {
+                return Err(format!("bad value for --{key}: {v:?}"));
+            }
             opts.insert(key.to_string(), v);
         }
         Ok(Self { experiment, opts })
     }
 
     /// Typed option lookup with default.
+    ///
+    /// # Panics
+    /// Panics on a value that does not parse as `T`; [`parse`](Self::parse)
+    /// has already rejected those for every numeric option.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.opts.get(key) {
             Some(v) => v.parse().unwrap_or_else(|_| panic!("bad value for --{key}: {v:?}")),
@@ -174,6 +208,57 @@ mod tests {
         assert!(Args::parse([]).is_err());
         assert!(Args::parse(["e", "positional"].map(String::from)).is_err());
         assert!(Args::parse(["e", "--flag"].map(String::from)).is_err());
+    }
+
+    #[test]
+    fn malformed_numbers_are_parse_errors() {
+        for (flag, bad) in [("scale-log2", "12x"), ("runs", "-1"), ("rho", "many"), ("seed", "")] {
+            let err =
+                Args::parse(["fig1", &format!("--{flag}"), bad].map(String::from)).expect_err(flag);
+            assert!(err.contains(&format!("--{flag}")), "{err}");
+        }
+        // Well-formed numbers and non-numeric options still parse.
+        let a = Args::parse(
+            ["fig1", "--rho", "2.5", "--kernel", "all", "--results-dir", "r"].map(String::from),
+        )
+        .unwrap();
+        assert_eq!(a.get("rho", 0.0f64), 2.5);
+        assert_eq!(a.get_str("kernel", ""), "all");
+    }
+
+    #[test]
+    fn every_numeric_option_read_by_an_experiment_is_checked() {
+        // `get` panics on a malformed value, so every key passed to it
+        // must be in the up-front table.
+        let src = [
+            include_str!("harness.rs"),
+            include_str!("experiments/ablate.rs"),
+            include_str!("experiments/bounds.rs"),
+            include_str!("experiments/fig1.rs"),
+            include_str!("experiments/fig10.rs"),
+            include_str!("experiments/fig5.rs"),
+            include_str!("experiments/fig6.rs"),
+            include_str!("experiments/fig7.rs"),
+            include_str!("experiments/fig8.rs"),
+            include_str!("experiments/fig9.rs"),
+            include_str!("experiments/frontier.rs"),
+            include_str!("experiments/masked.rs"),
+            include_str!("experiments/mod.rs"),
+            include_str!("experiments/prep.rs"),
+            include_str!("experiments/scaling.rs"),
+            include_str!("experiments/serve.rs"),
+            include_str!("experiments/tables.rs"),
+        ];
+        let needle = concat!("args.", "get(\"");
+        for file in src {
+            for (at, _) in file.match_indices(needle) {
+                let key = file[at + needle.len()..].split('"').next().unwrap();
+                assert!(
+                    NUMERIC_OPTIONS.iter().any(|&(k, _)| k == key),
+                    "--{key} is read with `get` but not checked by `Args::parse`"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The forward sweep reuses the BFS engine's iteration step verbatim
 //! ([`crate::bfs`]), so it rides the same [`SweepMode`] substrate as
 //! every other kernel: full sweeps, frontier-proportional worklist
-//! sweeps, or the adaptive controller ([`BetweennessOptions::sweep`],
+//! sweeps, or the adaptive gate ([`BetweennessOptions::sweep`],
 //! defaulting to the `SLIMSELL_SWEEP` env var). Every sweep *records*
 //! its change masks — the exact bit-wise changed-chunk list is
 //! harvested each iteration as the deterministic frontier from which σ and levels are recorded, in
@@ -124,7 +124,7 @@ where
 ///
 /// Runs the BFS engine's iteration step with change recording forced
 /// on in every mode: the exact bit-wise changed-chunk list of each
-/// iteration (which the adaptive controller needs anyway) doubles as
+/// iteration (which the adaptive gate needs anyway) doubles as
 /// the frontier from which new levels and σ values are harvested —
 /// a superset of the chunks holding newly discovered vertices, scanned
 /// in ascending chunk order, so the recorded DAG is deterministic

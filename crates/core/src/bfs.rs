@@ -31,12 +31,13 @@
 //! span runner serves full and worklist sweeps alike.
 //!
 //! Worklist sweeps ([`SweepMode::Worklist`]) replace the full sweep
-//! with frontier-proportional sweeps over an active-chunk worklist: the
-//! once-per-graph chunk dependency graph ([`crate::worklist`]) says
-//! which chunks can possibly produce a different output after a set of
-//! chunks changed, and an epoch-stamped activation array turns each
-//! iteration's exactly-detected changed chunks into the next sorted
-//! worklist. The invariant making this sound with double buffering:
+//! with frontier-proportional sweeps over an active-chunk worklist:
+//! each iteration's exactly-detected changed chunks and lanes are
+//! walked in the matrix's own column slab ([`crate::worklist`]) — the
+//! chunks their rows point into are the only chunks whose output can
+//! differ next iteration — and an epoch-stamped activation array turns
+//! them into the next sorted worklist. No dependency graph is built.
+//! The invariant making this sound with double buffering:
 //! outside the worklist, `nxt` already equals `cur` bit-for-bit (a
 //! chunk leaves the list only after an iteration in which its output
 //! did not change), so untouched chunks need no copy-forward and the
@@ -47,13 +48,14 @@
 //!
 //! Which chunk set runs is decided by the [`SweepMode`] policy layer
 //! ([`crate::sweep`]): [`BfsOptions::config`] selects pure full sweeps,
-//! pure worklist sweeps, or — the default — the adaptive controller
-//! that picks per iteration at the calibrated `~nc/2` crossover with
-//! hysteresis. Adaptive full sweeps *record* per-chunk bit-exact change
-//! masks, like every worklist sweep, so the worklist can be re-seeded
-//! correctly on every full→worklist transition; see the `sweep` module
-//! docs for the re-seeding invariant. The 1-thread full-sweep run remains the
-//! oracle the equivalence suite compares every mode against.
+//! pure worklist sweeps, or — the default — the adaptive gate, which
+//! sweeps the worklist while the seed chunks hold under 1/3 of the
+//! matrix's cells. Adaptive full sweeps *record* per-chunk bit-exact
+//! change masks, like every worklist sweep, so the worklist can be
+//! re-seeded correctly on every full→worklist transition; see the
+//! `sweep` module docs for the re-seeding invariant. The 1-thread
+//! full-sweep run remains the oracle the equivalence suite compares
+//! every mode against.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,7 +68,7 @@ use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{Semiring, StateVecs};
 use crate::slimchunk;
-use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
 use crate::tiling::{ChunkSet, ChunkTiling};
 use crate::worklist::{full_lane_mask, ActivationState};
 
@@ -86,7 +88,7 @@ pub struct BfsOptions {
     /// options). The sweep modes: full-range sweeps,
     /// frontier-proportional worklist sweeps (per-iteration cost
     /// `O(|worklist|)` instead of `O(n_chunks)`, the big win on
-    /// high-diameter graphs), or the default adaptive controller that
+    /// high-diameter graphs), or the default adaptive gate that
     /// switches between them per iteration. Outputs are bit-identical
     /// in every mode. Defaults to the `SLIMSELL_SWEEP` env var
     /// (adaptive when unset).
@@ -179,8 +181,6 @@ pub(crate) struct EngineScratch {
     /// the changed rows (the direction-optimized driver also pushes the
     /// lanes its top-down steps touched).
     pub(crate) pending: Vec<(u32, u32)>,
-    /// Adaptive sweep controller (latched mode + hysteresis).
-    pub(crate) ctl: AdaptiveController,
     /// Per-position changed lane masks recorded by the current sweep.
     pub(crate) masks: Vec<u32>,
     /// SlimChunk's task list, offsets, skip flags and tile partials.
@@ -426,10 +426,9 @@ where
 {
     let s = matrix.structure();
     let nc = s.num_chunks();
-    let EngineScratch { tiling, act, pending, ctl, masks, tasks } = scratch;
+    let EngineScratch { tiling, act, pending, masks, tasks } = scratch;
     let mask = opts.mask.as_deref();
-    let (set, seeded) =
-        resolve_sweep(opts.config.sweep, ctl, act, || s.dep_graph(), pending, nc, mask);
+    let (set, seeded) = resolve_sweep(opts.config.sweep, act, s.column_slab(), pending, mask);
     let full = cached_full_tiling(tiling, nc, opts.config.schedule);
     let recorded = record.then_some(&mut *masks);
     let mut it = match opts.slimchunk {

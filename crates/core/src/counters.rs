@@ -54,11 +54,13 @@ pub struct IterStats {
     /// Chunks visited this iteration — the worklist size, or the whole
     /// chunk range in full-sweep mode.
     pub worklist_len: usize,
-    /// Dependent-expansion probes performed while building the *next*
-    /// worklist — the dependency fan-out actually paid, after per-lane
-    /// filtering (a dependency edge only counts when the seed's changed
-    /// lane mask intersects the edge's lane mask, so this is ≤ the
-    /// chunk-granular `Σ |dependents(j)|`); 0 in full-sweep mode.
+    /// Activations performed while building the *next* worklist: the
+    /// distinct (changed chunk, dependent) pairs reached through the
+    /// changed chunk's changed rows — the dependency fan-out actually
+    /// paid, after per-lane filtering (a dependency edge only counts
+    /// when the seed's changed lane mask intersects the edge's lane
+    /// mask, so this is ≤ the chunk-granular `Σ |dependents(j)|`); 0
+    /// in full-sweep mode.
     pub activations: u64,
     /// Chunks whose output state changed this iteration under the exact
     /// bit-wise test (tracked in worklist iterations and in adaptive
@@ -189,7 +191,7 @@ impl RunStats {
     }
 
     /// How many times consecutive iterations ran under different sweep
-    /// dispatchers — the adaptive controller's switching trace (0 in
+    /// dispatchers — the adaptive gate's switching trace (0 in
     /// pure full/worklist runs, and in adaptive runs that never left
     /// their initial regime).
     pub fn mode_switches(&self) -> usize {

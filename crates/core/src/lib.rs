@@ -15,14 +15,14 @@
 //!   chunk skipping (§III-C), static/dynamic scheduling, per-iteration
 //!   statistics.
 //! * [`slimchunk`] — 2-D chunk tiling for load balance (§III-D).
-//! * [`worklist`] — the chunk dependency graph (computed once per
-//!   structure) and epoch-stamped activation worklists behind the
-//!   worklist sweep modes: frontier-proportional sweeps instead of
-//!   full sweeps with per-chunk skip tests.
+//! * [`worklist`] — epoch-stamped activation worklists seeded by
+//!   walking the changed chunks' own columns, behind the worklist
+//!   sweep modes: frontier-proportional sweeps instead of full sweeps
+//!   with per-chunk skip tests.
 //! * [`sweep`] — the sweep-mode policy layer ([`SweepConfig`],
 //!   `SLIMSELL_SWEEP`): pure full/worklist modes plus the default
-//!   adaptive controller that switches per iteration at the `~nc/2`
-//!   crossover with hysteresis.
+//!   adaptive gate, which sweeps the worklist while the changed chunks
+//!   hold under 1/3 of the matrix's cells.
 //! * [`mask`] — dense vertex masks over the chunk layout: one
 //!   allowed-lane word per chunk, padding lanes always set,
 //!   popcount-tracked updates. Every semiring sweep accepts one.
@@ -95,6 +95,6 @@ pub use pagerank::{pagerank, PageRankOptions};
 pub use semiring::{BooleanSemiring, RealSemiring, SelMaxSemiring, Semiring, TropicalSemiring};
 pub use sssp::{sssp, sssp_with, SsspOptions, WeightedSellCSigma};
 pub use structure::SellStructure;
-pub use sweep::{AdaptiveController, ExecutedSweep, SweepConfig, SweepMode};
+pub use sweep::{ExecutedSweep, SweepConfig, SweepMode};
 pub use validation::graph500_validate;
-pub use worklist::{ActivationState, ChunkDepGraph};
+pub use worklist::{ActivationState, ChunkDepGraph, ColumnSlab};

@@ -13,9 +13,8 @@
 //!   SlimWork probe, and (via
 //!   [`ActivationState::seed`](crate::worklist::ActivationState::seed))
 //!   before any activation probe is paid;
-//! * intersect the mask with a chunk's changed-lane or dependency
-//!   [`edge_masks`](crate::worklist::ChunkDepGraph::edge_masks) word
-//!   with one AND ([`VertexMask::and_lanes`]);
+//! * intersect the mask with a chunk's changed-lane word with one AND
+//!   ([`VertexMask::and_lanes`]);
 //! * blend a partially masked chunk's freshly computed lanes back to
 //!   their previous values, which for every shipped semiring is
 //!   bit-for-bit "this lane did not run" (see the masked-sweep notes

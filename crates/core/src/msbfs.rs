@@ -17,9 +17,9 @@
 //! sources.
 //!
 //! Like BFS/SSSP/PageRank, the sweeps ride the [`SweepMode`] substrate:
-//! full-range sweeps, frontier-proportional worklist sweeps over the
-//! chunk dependency graph of [`crate::worklist`], or (the default) the
-//! adaptive controller of [`crate::sweep`]. The per-chunk change masks
+//! full-range sweeps, frontier-proportional worklist sweeps seeded from
+//! the column slab ([`crate::worklist`]), or (the default) the
+//! adaptive gate of [`crate::sweep`]. The per-chunk change masks
 //! are per *row* lane — bit `l` set iff any of row `l`'s `B` distance
 //! lanes changed bit-wise — so the same lane-filtered dependency
 //! expansion that gates single-source sweeps gates `B`-wide sweeps: a
@@ -61,7 +61,7 @@ use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::slice_bits_differ;
-use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
 use crate::tiling::{ChunkTiling, Schedule};
 use crate::worklist::{full_lane_mask, ActivationState};
 
@@ -313,7 +313,6 @@ where
     let nc = np / C;
     let tiling = ChunkTiling::new(nc, opts.config.schedule);
     let mut act = ActivationState::new();
-    let mut ctl = AdaptiveController::new();
     let mut pending: Vec<(u32, u32)> = Vec::new();
     let mut masks: Vec<u32> = Vec::new();
     // Worklist-capable modes record every sweep's change masks: the
@@ -340,15 +339,8 @@ where
         }
         iterations += 1;
         let t0 = Instant::now();
-        let (set, seeded) = resolve_sweep(
-            opts.config.sweep,
-            &mut ctl,
-            &mut act,
-            || s.dep_graph(),
-            &mut pending,
-            nc,
-            mask,
-        );
+        let (set, seeded) =
+            resolve_sweep(opts.config.sweep, &mut act, s.column_slab(), &mut pending, mask);
         let cur_ref = &cur;
         let (changed, col_steps, active_cells, skipped) = set.sweep(
             &tiling,

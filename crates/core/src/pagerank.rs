@@ -18,9 +18,9 @@
 //! whose gathered inputs changed would reproduce its cached accumulator
 //! to the bit (the chunk SpMV is a pure function of the gathered
 //! lanes). Mid-run the damping base mass shifts every iteration, so `y`
-//! floods and the adaptive controller's seed-count rule settles on full
-//! sweeps without paying a single activation probe (only the `O(n)`
-//! bit compare); the worklist pays off in the convergence tail, when
+//! floods and the adaptive gate settles on full sweeps without paying a
+//! single activation (only the `O(n)` bit compare and a seed-cell sum
+//! that stops at the bound); the worklist pays off in the convergence tail, when
 //! most of `y` has stopped moving. The cheap `O(n)` pre-scale and
 //! output passes always sweep fully. Scores, residuals, and iteration
 //! counts are bit-identical in every sweep mode and at any thread
@@ -55,7 +55,7 @@ use slimsell_simd::{SimdF32, SimdI32};
 use crate::counters::{IterStats, RunStats};
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{RealSemiring, Semiring};
-use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
 use crate::tiling::{ChunkSet, ChunkTiling, Schedule};
 use crate::worklist::ActivationState;
 
@@ -148,9 +148,34 @@ where
     assert!(n > 0);
     let d = opts.damping;
 
-    // Degrees in permuted space (padding rows get degree 0).
-    let deg: Vec<f32> = (0..np).map(|r| if r < n { s.row_len(r) as f32 } else { 0.0 }).collect();
+    let nc = np / C;
+    let tiling = ChunkTiling::new(nc, opts.config.schedule);
+
+    // Degrees in permuted space: a row's non-padding cells, counted one
+    // chunk step (all `C` rows) at a time. Padding rows get degree 0.
+    let mut deg = vec![0.0f32; np];
+    ChunkSet::All(nc).sweep(
+        &tiling,
+        C,
+        [&mut deg[..]],
+        None,
+        |_, i, [slot], _| {
+            let mut len = [0u32; C];
+            for step in s.col()[s.cs()[i]..].chunks_exact(C).take(s.cl()[i] as usize) {
+                for (l, &c) in len.iter_mut().zip(step) {
+                    *l += u32::from(c >= 0);
+                }
+            }
+            for (d, l) in slot.iter_mut().zip(len) {
+                *d = l as f32;
+            }
+        },
+        |(), ()| (),
+    );
     let inv_deg: Vec<f32> = deg.iter().map(|&x| if x > 0.0 { 1.0 / x } else { 0.0 }).collect();
+    // Dangling rows in ascending order: every iteration sums their mass
+    // in this fixed order (deterministic) without rescanning all rows.
+    let dangling_rows: Vec<usize> = (0..n).filter(|&v| deg[v] == 0.0).collect();
 
     // Personalized restart distribution in permuted space: 1/|S| on
     // each seed, 0 elsewhere. The `None` arm below keeps the classic
@@ -181,7 +206,6 @@ where
     };
     let mut y = vec![0.0f32; np]; // pre-scaled x/deg
     let mut nxt = vec![0.0f32; np];
-    let nc = np / C;
     // Per-chunk residual partials; summed in chunk order so the L1
     // residual does not depend on tile boundaries (thread count).
     let mut chunk_res = vec![0.0f32; nc];
@@ -196,21 +220,18 @@ where
     let mut y_changed: Vec<u32> = Vec::new();
     let mut pending: Vec<(u32, u32)> = Vec::new();
     let mut act = ActivationState::new();
-    let mut ctl = AdaptiveController::new();
     // Change detection (the bit compares in the pre-scale pass and the
     // seed-list rebuild) is paid only by worklist-capable modes.
     let track = opts.config.sweep.uses_worklist();
 
-    let tiling = ChunkTiling::new(nc, opts.config.schedule);
     let mut stats = RunStats::default();
     let mut iterations = 0;
     let mut residual = f32::INFINITY;
     while iterations < opts.max_iterations && residual > opts.tolerance {
         iterations += 1;
         let t0 = Instant::now();
-        // Dangling vertices spread their mass uniformly (sequential
-        // fixed-order sum: deterministic).
-        let dangling: f32 = (0..n).filter(|&v| deg[v] == 0.0).map(|v| x[v]).sum();
+        // Dangling vertices spread their mass uniformly.
+        let dangling: f32 = dangling_rows.iter().map(|&v| x[v]).sum();
         let base_mass = (1.0 - d) / n as f32 + d * dangling / n as f32;
         // Pre-scale pass: y = x / deg over the whole chunk range — with
         // per-chunk bit-exact change masks for the SpMV worklist when a
@@ -245,15 +266,8 @@ where
         // chunks only (worklist) — elsewhere the cached values are
         // already bit-exact. The next seed list comes from the
         // pre-scale pass's `y` compare, so this sweep records nothing.
-        let (set, seeded) = resolve_sweep(
-            opts.config.sweep,
-            &mut ctl,
-            &mut act,
-            || s.dep_graph(),
-            &mut pending,
-            nc,
-            None,
-        );
+        let (set, seeded) =
+            resolve_sweep(opts.config.sweep, &mut act, s.column_slab(), &mut pending, None);
         let y_ref = &y;
         let col_steps = set.sweep(
             &tiling,

@@ -166,16 +166,16 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     /// Lane-granular form of [`state_changed`](Self::state_changed): bit
     /// `l` of the result is set iff lane `l` (row `base + l`) of any
     /// vector this semiring maintains changed bit-wise. The worklist
-    /// engine feeds these masks through [`ChunkDepGraph`]'s per-edge
-    /// source-lane masks so a changed chunk only activates dependents
-    /// that gather from its *changed rows*.
+    /// engine walks only these lanes of the changed chunk's columns
+    /// ([`ActivationState::seed`]), so a changed chunk only activates
+    /// dependents that gather from its *changed rows*.
     ///
     /// Invariants (pinned by the lane-mask property suite):
     /// `state_changed_mask != 0` ⟺ [`state_changed`](Self::state_changed),
     /// and each bit equals a per-lane replay of `state_changed` on a
     /// one-lane window.
     ///
-    /// [`ChunkDepGraph`]: crate::worklist::ChunkDepGraph
+    /// [`ActivationState::seed`]: crate::worklist::ActivationState::seed
     #[inline]
     fn state_changed_mask<const C: usize>(
         cur: &StateVecs,

@@ -18,7 +18,7 @@
 //! Bellman–Ford fixpoint from "re-run every chunk every sweep" into
 //! sweeps proportional to the still-relaxing region —
 //! [`SsspOptions::sweep`] selects full sweeps, worklist sweeps, or (the
-//! default) the adaptive controller of [`crate::sweep`], with distances
+//! default) the adaptive gate of [`crate::sweep`], with distances
 //! bit-identical in every mode.
 //!
 //! Each relaxation sweep runs tile-parallel over the
@@ -41,7 +41,7 @@
 //! assert_eq!(out.dist, vec![0.0, 1.0, 3.0]);
 //! ```
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use slimsell_graph::weighted::WeightedCsrGraph;
@@ -51,9 +51,9 @@ use slimsell_simd::{SimdF32, SimdI32};
 use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::semiring::lanes_ne_bits;
-use crate::sweep::{resolve_sweep, AdaptiveController, SweepConfig, SweepMode};
+use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
 use crate::tiling::{ChunkTiling, Schedule};
-use crate::worklist::{full_lane_mask, ActivationState, ChunkDepGraph};
+use crate::worklist::{full_lane_mask, ActivationState, ColumnSlab};
 
 /// Sell-C-σ with real-valued weights: structure arrays plus a weight
 /// `val` array (padding cells hold `+∞`, the min-plus annihilator).
@@ -66,10 +66,6 @@ pub struct WeightedSellCSigma<const C: usize> {
     col: Vec<i32>,
     val: Vec<f32>,
     perm: Permutation,
-    /// Chunk dependency graph, built lazily on first worklist-mode run
-    /// (non-worklist paths pay nothing) — same layout rules as the
-    /// unweighted [`crate::SellStructure`].
-    dep: OnceLock<ChunkDepGraph>,
 }
 
 impl<const C: usize> WeightedSellCSigma<C> {
@@ -118,7 +114,7 @@ impl<const C: usize> WeightedSellCSigma<C> {
                 }
             }
         }
-        Self { n, n_padded, cs, cl, col, val, perm, dep: OnceLock::new() }
+        Self { n, n_padded, cs, cl, col, val, perm }
     }
 
     /// Storage cells (`val` + `col` + `cs` + `cl`) — twice SlimSell's,
@@ -139,14 +135,10 @@ impl<const C: usize> WeightedSellCSigma<C> {
         VertexMask::from_permuted(self.n, C, ids.into_iter().map(|v| self.perm.to_new(v) as usize))
     }
 
-    /// The chunk dependency graph (see
-    /// [`SellStructure::dep_graph`](crate::SellStructure::dep_graph)):
-    /// computed once per matrix on first call; drives the worklist and
-    /// adaptive sweep modes.
-    pub fn dep_graph(&self) -> &ChunkDepGraph {
-        self.dep.get_or_init(|| {
-            ChunkDepGraph::build(self.num_chunks(), &self.cs, &self.cl, &self.col, C)
-        })
+    /// The column slab the worklist and adaptive sweep modes seed from
+    /// (see [`SellStructure::column_slab`](crate::SellStructure::column_slab)).
+    pub fn column_slab(&self) -> ColumnSlab<'_> {
+        ColumnSlab { cs: &self.cs, cl: &self.cl, col: &self.col, lanes: C }
     }
 }
 
@@ -308,7 +300,6 @@ pub fn sssp_with<const C: usize>(
     let nc = m.num_chunks();
     let tiling = ChunkTiling::new(nc, opts.config.schedule);
     let mut act = ActivationState::new();
-    let mut ctl = AdaptiveController::new();
     let mut pending: Vec<(u32, u32)> = Vec::new();
     let mut masks: Vec<u32> = Vec::new();
     // Worklist-capable modes record every sweep's change masks: the
@@ -325,15 +316,8 @@ pub fn sssp_with<const C: usize>(
     loop {
         iterations += 1;
         let t0 = Instant::now();
-        let (set, seeded) = resolve_sweep(
-            opts.config.sweep,
-            &mut ctl,
-            &mut act,
-            || m.dep_graph(),
-            &mut pending,
-            nc,
-            mask,
-        );
+        let (set, seeded) =
+            resolve_sweep(opts.config.sweep, &mut act, m.column_slab(), &mut pending, mask);
         let cur_ref = &cur;
         let (changed, col_steps, skipped) = set.sweep(
             &tiling,
@@ -523,20 +507,35 @@ mod tests {
     }
 
     #[test]
-    fn dep_graph_is_lazy_and_consistent() {
-        // sigma = 1 keeps vertex ids equal to permuted positions.
+    fn column_slab_seeds_match_the_dependency_oracle() {
+        // The weighted matrix carries no dependency graph: its worklist
+        // seeds come from its own column slab, which must reproduce the
+        // materialized graph's lane-filtered dependents. sigma = 1 keeps
+        // vertex ids equal to permuted positions.
+        use crate::worklist::ChunkDepGraph;
         let g = WeightedCsrGraph::from_edges(16, [(0, 15, 1.0), (3, 8, 2.0), (8, 9, 0.5)]);
         let m = WeightedSellCSigma::<4>::build(&g, 1);
-        let dep = m.dep_graph();
-        assert_eq!(dep.num_chunks(), m.num_chunks());
-        for j in 0..dep.num_chunks() {
-            let d = dep.dependents(j);
-            assert!(d.contains(&(j as u32)), "missing self edge of {j}");
-            assert!(d.windows(2).all(|w| w[0] < w[1]), "unsorted deps of {j}");
+        let dep = ChunkDepGraph::build(m.num_chunks(), &m.cs, &m.cl, &m.col, 4);
+        let mut act = ActivationState::new();
+        for j in 0..m.num_chunks() {
+            for lanes in 1..16u32 {
+                let n = act.seed(m.column_slab(), &mut vec![(j as u32, lanes)], None);
+                let want: Vec<u32> = dep
+                    .dependents(j)
+                    .iter()
+                    .zip(dep.edge_masks(j))
+                    .filter(|&(_, &em)| em & lanes != 0)
+                    .map(|(&t, _)| t)
+                    .collect();
+                assert_eq!(act.worklist(), &want[..], "chunk {j} lanes {lanes:04b}");
+                assert_eq!(n as usize, want.len(), "chunk {j} lanes {lanes:04b}");
+            }
         }
         // 0-15 edge crosses chunks 0 and 3: mutual dependency.
-        assert!(dep.dependents(0).contains(&3));
-        assert!(dep.dependents(3).contains(&0));
+        act.seed(m.column_slab(), &mut vec![(0, 0b0001)], None);
+        assert_eq!(act.worklist(), &[0, 3]);
+        act.seed(m.column_slab(), &mut vec![(3, 0b1000)], None);
+        assert_eq!(act.worklist(), &[0, 3]);
     }
 
     #[test]

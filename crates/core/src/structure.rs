@@ -16,7 +16,7 @@
 use rayon::prelude::*;
 use slimsell_graph::{CsrGraph, Permutation, VertexId};
 
-use crate::worklist::ChunkDepGraph;
+use crate::worklist::{ChunkDepGraph, ColumnSlab};
 
 /// Chunked storage structure: everything except the `val` array.
 #[derive(Clone, Debug)]
@@ -40,11 +40,9 @@ pub struct SellStructure<const C: usize> {
     /// Stored arcs per chunk (non-padding cells), length `nc`; the
     /// per-chunk numerator of measured SIMD lane utilization.
     chunk_arcs: Vec<u64>,
-    /// Chunk-granularity dependency graph (who must re-run when a
-    /// chunk's vertices change), computed once per structure on first
-    /// use by the worklist engine. Lazy so that non-worklist paths —
-    /// including the §IV-D preprocessing-amortization measurements —
-    /// pay nothing for it.
+    /// Materialized chunk dependency graph, built only on an explicit
+    /// [`dep_graph`](Self::dep_graph) call. No kernel makes one: the
+    /// worklist engine seeds from `col` itself.
     dep: std::sync::OnceLock<ChunkDepGraph>,
 }
 
@@ -192,12 +190,19 @@ impl<const C: usize> SellStructure<C> {
         &self.chunk_arcs
     }
 
-    /// The chunk dependency graph: for each chunk `j`, the chunks that
-    /// gather from `j`'s row range (plus `j` itself) — the set that
-    /// must re-run when `j`'s vertices change. Computed once per
-    /// structure on first call (a pure function of the structure, so
-    /// laziness is observation-free); drives the worklist engine (see
-    /// [`crate::worklist`]).
+    /// The column slab the worklist engine seeds from and the adaptive
+    /// gate prices seeds in (see [`crate::worklist`]).
+    #[inline]
+    pub fn column_slab(&self) -> ColumnSlab<'_> {
+        ColumnSlab { cs: &self.cs, cl: &self.cl, col: &self.col, lanes: C }
+    }
+
+    /// The materialized chunk dependency graph: for each chunk `j`, the
+    /// chunks that gather from `j`'s row range (plus `j` itself).
+    /// Computed once per structure on first call and kept. Kernels never
+    /// call this — they read the same relation off
+    /// [`column_slab`](Self::column_slab) — so it only costs time and
+    /// memory when a caller asks to inspect or measure it.
     #[inline]
     pub fn dep_graph(&self) -> &ChunkDepGraph {
         self.dep.get_or_init(|| ChunkDepGraph::build(self.nc, &self.cs, &self.cl, &self.col, C))
@@ -384,5 +389,39 @@ mod tests {
         let g = GraphBuilder::new(8).edges([(0, 1)]).build();
         let s = SellStructure::<4>::build(&g, 1);
         assert_eq!(s.row_len(s.perm().to_new(5) as usize), 0);
+    }
+
+    #[test]
+    fn no_kernel_builds_the_dependency_graph() {
+        // The first-query cliff was the lazy dependency-graph build
+        // inside the first worklist sweep. Every kernel now seeds from
+        // the column slab, so running all of them, in every sweep mode
+        // that seeds, must leave the structure's graph unbuilt. (The
+        // weighted matrix used by SSSP has no graph left to build.)
+        use crate::matrix::{ChunkMatrix, SlimSellMatrix};
+        use crate::sweep::SweepMode;
+        use crate::{
+            multi_bfs_with, pagerank, run_descriptor, sssp_with, BfsEngine, BfsOptions, Descriptor,
+            MsBfsOptions, PageRankOptions, SsspOptions, TropicalSemiring, WeightedSellCSigma,
+        };
+        use slimsell_graph::weighted::synthetic_weighted_twin;
+        // A path feeding a star: wavefront iterations, then a flood.
+        let g = GraphBuilder::new(96)
+            .edges((0..24u32).map(|v| (v, v + 1)).chain((25..96).map(|w| (24, w))))
+            .build();
+        let m = SlimSellMatrix::<4>::build(&g, 96);
+        let w = WeightedSellCSigma::<4>::build(&synthetic_weighted_twin(&g), 96);
+        for sweep in [SweepMode::Worklist, SweepMode::Adaptive] {
+            let bfs = BfsOptions::default().sweep(sweep);
+            BfsEngine::run::<_, TropicalSemiring, 4>(&m, 0, &bfs);
+            sssp_with(&w, 0, &SsspOptions::default().sweep(sweep));
+            multi_bfs_with::<_, 4, 2>(&m, &[0, 50], &MsBfsOptions::default().sweep(sweep));
+            pagerank(&m, &PageRankOptions::default().sweep(sweep));
+            run_descriptor(&m, 0, &Descriptor::default().sweep(sweep));
+        }
+        assert!(m.structure().dep.get().is_none(), "a kernel built the dependency graph");
+        // An explicit request still builds (and keeps) it.
+        m.structure().dep_graph();
+        assert!(m.structure().dep.get().is_some());
     }
 }

@@ -1,14 +1,16 @@
 //! Sweep-mode policy: runtime selection between full sweeps and
-//! frontier-proportional worklist sweeps, including the adaptive
-//! controller that switches per iteration.
+//! frontier-proportional worklist sweeps, including the adaptive gate
+//! that picks per iteration.
 //!
-//! Worklist sweeps win decisively on high-diameter graphs (thin wavefront frontiers)
-//! but pay ~1.4× wall overhead in the Kronecker flood regime, where
-//! nearly every chunk is active every iteration and the activation
-//! machinery is pure cost. That is the same regime split that motivates
-//! push–pull direction heuristics in GraphBLAS-style engines and the
-//! paper's own SlimWork/SlimChunk adaptivity (§V): the right sweep
-//! strategy is a property of the *iteration*, not the run.
+//! A worklist sweep visits only the chunks the last iteration's changes
+//! can reach, but first pays for the seed walk that finds them
+//! ([`crate::worklist`]); a full sweep visits every chunk and pays
+//! nothing up front. Which one wins is a property of the *iteration*,
+//! not the run: a Kronecker BFS floods at levels 1–2 and thins to a
+//! tail after, while a road-network wavefront never floods. That is
+//! the same regime split that motivates push–pull direction heuristics
+//! in GraphBLAS-style engines and the paper's own SlimWork/SlimChunk
+//! adaptivity (§V).
 //!
 //! [`SweepMode`] is the policy knob
 //! ([`SweepConfig::sweep`], embedded in every kernel's options; the
@@ -18,10 +20,10 @@
 //!   (per-chunk SlimWork skip tests still apply).
 //! * [`SweepMode::Worklist`] — every iteration sweeps the active-chunk
 //!   worklist only.
-//! * [`SweepMode::Adaptive`] — the default: the controller below picks
-//!   per iteration, recording exact per-chunk changes through full
-//!   sweeps so it can re-seed the worklist on every full→worklist
-//!   transition without ever touching outputs.
+//! * [`SweepMode::Adaptive`] — the default: [`adaptive_sweep`] picks
+//!   per iteration, and full sweeps record exact per-chunk changes so
+//!   the worklist can be re-seeded on every full→worklist transition
+//!   without ever touching outputs.
 //!
 //! The policy's answer is a value: [`resolve_sweep`] returns the
 //! [`ChunkSet`] this iteration visits — the whole range or the seeded
@@ -29,42 +31,41 @@
 //! ([`ChunkSet::sweep`]). A full sweep is the worklist that spans the
 //! range.
 //!
-//! # The adaptive controller
+//! # The adaptive gate
 //!
-//! The decision variable is the **seed count** — how many chunks
-//! changed bit-wise last iteration, i.e. the worklist members that are
-//! guaranteed to be listed before any dependency expansion — compared
-//! against a crossover calibrated at `nc / 2` (`nc` = chunk count).
-//! Two properties make seeds the right variable:
+//! An adaptive iteration sweeps the worklist iff the seed chunks' slab
+//! cells, `Σ_{j ∈ seeds} C·cl[j]`, are below `1/3`
+//! ([`WORKLIST_CELL_DEN`]) of the matrix's cells. Seed *cells*, not
+//! seed *chunks*, because they are what the worklist pays before its
+//! sweep starts: the seed walk reads the changed lanes of exactly those
+//! cells, and a σ-sorted hub chunk with a long row fans out to far more
+//! dependents than a chunk count shows: a chunk-count gate at `nc/2`
+//! keeps Kronecker BFS level 2 (3,223 seed chunks, under half of `nc`
+//! but 42% of the cells) on the worklist, where the iteration costs
+//! tens of full sweeps.
 //!
-//! * `seeds` lower-bounds the next worklist length (every seed is on
-//!   its own worklist via the self edge), so a flooded seed set proves
-//!   a flooded worklist without computing it;
-//! * the worklist engine's entire per-iteration overhead — dependency
-//!   expansion (`Σ |dependents(seed)|` probes), flag harvest, tile
-//!   setup — is proportional to the seed set, so seeds directly
-//!   measure what a full sweep would *save*. (Column-step-wise the
-//!   worklist never loses — processed chunks do identical math and the
-//!   full sweep processes a superset — so wall time in the flood
-//!   regime is exactly where the policy earns its keep.)
+//! Two measurements place the bound; both are tabulated in
+//! `ARCHITECTURE.md`. Per-iteration wall times of the pure modes put
+//! the crossover at 0.06–0.12 for single-source kernels and near 0.3
+//! for `B = 8` multi-source BFS, whose lanes amortize the walk, while
+//! Kronecker's flood levels sit at 0.36–0.99. The column-step contract
+//! (adaptive BFS within 5% of the worklist's column steps on the
+//! 2^12 geometric and small-world wavefronts of
+//! `tests/frontier_worklist.rs`) needs the bound above 0.32, the widest
+//! such wavefront. `1/3` is the smallest simple fraction that keeps
+//! the contract. It still sends Kronecker levels 1–2 (0.36–0.99 on
+//! every measured root) to full sweeps and keeps every wavefront on the
+//! worklist. What it gives up is the iterations between 0.1 and 1/3
+//! where a full sweep would be faster: label-correcting SSSP on roads
+//! (which stays on the worklist, as before) and the odd Kronecker tail
+//! level that SlimWork makes nearly free to sweep in full.
 //!
-//! Measured on the `repro frontier` generators at scale 12, the two
-//! regimes separate by more than 4× around `nc/2`: Kronecker's flood
-//! iterations run at 0.67–0.72 `nc` seeds, while the geometric and
-//! small-world wavefronts never exceed 0.15 `nc` — even when their
-//! *worklists* transiently span 0.8 `nc` and still win, which is why
-//! the worklist length itself would be the wrong gate.
-//!
-//! **Hysteresis.** The controller leaves worklist sweeps only when
-//! `seeds ≥ ⌈9·nc/16⌉` and re-enters only when `seeds ≤ ⌊7·nc/16⌋`, so
-//! a seed set oscillating around `nc/2` cannot thrash between modes
-//! (each transition has a small fixed cost). Deciding on full
-//! iterations means the changed-chunk list must stay current through
-//! them: adaptive full sweeps *record* change masks (below). Crucially,
-//! the decision needs **no activation probes ever** on the full-sweep
-//! side — mid-flood the controller reads one length and sweeps the
-//! whole range, which is what keeps adaptive at ≈ 1.0× full-sweep wall
-//! time on Kronecker.
+//! The gate is a pure function of (seed list, matrix): no latch, no
+//! hysteresis. A seed set hovering around the bound just alternates
+//! modes, which costs nothing extra because both sides are priced
+//! correctly. The sum stops as soon as the bound is crossed, so a
+//! flooded iteration pays only for the seeds it reads before the answer
+//! is certain, and on the full-sweep side no seed walk is ever paid.
 //!
 //! Correctness of switching (the **re-seeding invariant**): the
 //! worklist engine requires that outside the worklist the next-state
@@ -81,14 +82,14 @@
 //! its stale double-buffered slot. Outputs are bit-identical to both
 //! pure modes at any thread count — asserted by
 //! `tests/parallel_determinism.rs` and proven on arbitrary graphs by
-//! the `adaptive_equals_full_sweep` side of
+//! `adaptive_equals_one_thread_full_sweep_oracle` in
 //! `tests/proptest_invariants.rs`.
 
 use std::sync::OnceLock;
 
 use crate::mask::VertexMask;
 use crate::tiling::{ChunkSet, Schedule};
-use crate::worklist::{ActivationState, ChunkDepGraph};
+use crate::worklist::{merge_seeds, ActivationState, ColumnSlab};
 
 /// Sweep strategy for the iterative kernels (BFS, SSSP, PageRank's
 /// SpMV pass).
@@ -102,8 +103,8 @@ pub enum SweepMode {
     Full,
     /// Sweep the active-chunk worklist every iteration.
     Worklist,
-    /// Switch per iteration at the calibrated `~nc/2` crossover with
-    /// hysteresis (see the module docs).
+    /// Switch per iteration on the seed chunks' cells (see the module
+    /// docs).
     #[default]
     Adaptive,
 }
@@ -230,132 +231,71 @@ impl SweepConfig {
     }
 }
 
-/// Hysteresis band numerators over [`CROSSOVER_DEN`]: worklist sweeps
-/// are entered at `seeds ≤ 7/16 · nc` and left at `seeds ≥ 9/16 · nc`,
-/// bracketing the `nc/2` crossover.
-pub const ENTER_WORKLIST_NUM: usize = 7;
-/// See [`ENTER_WORKLIST_NUM`].
-pub const EXIT_WORKLIST_NUM: usize = 9;
-/// Denominator of the hysteresis fractions.
-pub const CROSSOVER_DEN: usize = 16;
+/// The adaptive gate's denominator: an adaptive iteration sweeps the
+/// worklist iff its seed chunks hold fewer than
+/// `1/WORKLIST_CELL_DEN` of the matrix's cells (see the module docs for
+/// the calibration).
+pub const WORKLIST_CELL_DEN: usize = 3;
 
-/// The per-run adaptive switching state: the currently latched mode
-/// plus the hysteresis decision rule. One controller lives in the
-/// engine scratch of each run; it is deliberately dumb state — the
-/// decision is pure in (seed count, chunk count) so the trace is
-/// bit-reproducible at any thread count.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveController {
-    mode: ExecutedSweep,
-}
-
-impl Default for AdaptiveController {
-    fn default() -> Self {
-        Self::new()
+/// The adaptive decision, a pure function of the (deduplicated) seed
+/// list and the matrix: [`ExecutedSweep::Worklist`] iff the seed
+/// chunks' slab cells, `Σ C·cl[j]`, are below `1/WORKLIST_CELL_DEN` of
+/// all cells. The sum stops as soon as the bound is crossed, so a
+/// flooded iteration (every chunk changed, as in PageRank's early
+/// iterations) pays only for the seeds it reads before the answer is
+/// certain.
+pub fn adaptive_sweep(seeds: &[(u32, u32)], slab: ColumnSlab<'_>) -> ExecutedSweep {
+    let total = slab.col.len();
+    let mut cells = 0usize;
+    for &(j, _) in seeds {
+        cells += slab.cl[j as usize] as usize * slab.lanes;
+        if cells * WORKLIST_CELL_DEN >= total {
+            return ExecutedSweep::Full;
+        }
     }
-}
-
-impl AdaptiveController {
-    /// A fresh controller, latched to worklist sweeps: the iterative
-    /// kernels start from a near-empty frontier (BFS/SSSP: one chunk),
-    /// exactly the worklist regime.
-    pub fn new() -> Self {
-        Self { mode: ExecutedSweep::Worklist }
-    }
-
-    /// The currently latched mode.
-    #[inline]
-    pub fn mode(&self) -> ExecutedSweep {
-        self.mode
-    }
-
-    /// Largest seed count at which the controller switches *into*
-    /// worklist sweeps (`⌊7·nc/16⌋`, clamped to at least 1 so trivial
-    /// chunk ranges still take the worklist path).
-    #[inline]
-    pub fn enter_max(nc: usize) -> usize {
-        (nc * ENTER_WORKLIST_NUM / CROSSOVER_DEN).max(1)
-    }
-
-    /// Smallest seed count at which the controller switches *back* to
-    /// full sweeps (`⌈9·nc/16⌉`, at least `enter_max + 1` so the
-    /// hysteresis band never inverts).
-    #[inline]
-    pub fn exit_min(nc: usize) -> usize {
-        (nc * EXIT_WORKLIST_NUM).div_ceil(CROSSOVER_DEN).max(Self::enter_max(nc) + 1)
-    }
-
-    /// The hysteresis decision, called with the seed count (chunks
-    /// whose state changed last iteration) *before* any dependency
-    /// expansion. Returns (and latches) the mode this iteration runs
-    /// in; when it answers [`ExecutedSweep::Full`] the caller skips
-    /// seeding entirely — no activation probes are ever paid on the
-    /// full-sweep side.
-    pub fn decide(&mut self, seeds: usize, nc: usize) -> ExecutedSweep {
-        self.mode = match self.mode {
-            ExecutedSweep::Full if seeds <= Self::enter_max(nc) => ExecutedSweep::Worklist,
-            ExecutedSweep::Worklist if seeds >= Self::exit_min(nc) => ExecutedSweep::Full,
-            latched => latched,
-        };
-        self.mode
-    }
+    ExecutedSweep::Worklist
 }
 
 /// Resolves the sweep policy for one iteration — the single shared
-/// entry point of every sweep kernel, so the controller's contract
-/// cannot drift between kernels. Decides which chunks this iteration
-/// sweeps and returns them as a [`ChunkSet`]: the whole range, or the
-/// worklist seeded from the pending `(chunk, changed-lane mask)` list
+/// entry point of every sweep kernel, so the policy cannot drift between
+/// kernels. Decides which chunks this iteration sweeps and returns them
+/// as a [`ChunkSet`]: the whole range, or the worklist seeded from the
+/// pending `(chunk, changed-lane mask)` list by a walk over `slab`
 /// (clearing `pending` afterwards). The second value is the
 /// lane-filtered activations paid (`None` when no seeding happened).
 ///
-/// The dependency graph is taken lazily: `dep` is only called when a
-/// worklist is seeded, so a pure [`SweepMode::Full`] run never builds
-/// it.
-///
 /// When a [`VertexMask`] is supplied, dependent chunks with no allowed
-/// real lane are dropped *before* the activation probe is paid — a
+/// real lane are dropped *before* their activation is counted — a
 /// fully masked chunk can never change state, so it never belongs on a
-/// worklist and its probes would be pure waste.
+/// worklist.
 ///
 /// In [`SweepMode::Adaptive`] the pending seed list is deduplicated
 /// *before* the decision (duplicate chunks merge their lane masks):
 /// callers like the direction-optimized driver push one entry per
-/// discovered vertex (up to `C` duplicates per chunk), and the
-/// controller's crossover is calibrated on distinct changed chunks.
-/// [`ActivationState::seed`] would merge anyway, so this costs nothing
-/// extra on the worklist path. When the controller picks a full sweep
-/// the stale seeds are left in `pending`: the recording full sweep
-/// rebuilds the list itself.
-pub fn resolve_sweep<'a, 'd>(
+/// discovered vertex (up to `C` duplicates per chunk), and the gate
+/// prices each changed chunk once. [`ActivationState::seed`] would
+/// merge anyway, so this costs nothing extra on the worklist path. When
+/// the gate picks a full sweep the stale seeds are left in `pending`:
+/// the recording full sweep rebuilds the list itself.
+pub fn resolve_sweep<'a>(
     mode: SweepMode,
-    ctl: &mut AdaptiveController,
     act: &'a mut ActivationState,
-    dep: impl FnOnce() -> &'d ChunkDepGraph,
+    slab: ColumnSlab<'_>,
     pending: &mut Vec<(u32, u32)>,
-    nc: usize,
     mask: Option<&VertexMask>,
 ) -> (ChunkSet<'a>, Option<u64>) {
     let exec = match mode {
         SweepMode::Full => ExecutedSweep::Full,
         SweepMode::Worklist => ExecutedSweep::Worklist,
         SweepMode::Adaptive => {
-            pending.sort_unstable_by_key(|&(j, _)| j);
-            pending.dedup_by(|next, prev| {
-                if next.0 == prev.0 {
-                    prev.1 |= next.1;
-                    true
-                } else {
-                    false
-                }
-            });
-            ctl.decide(pending.len(), nc)
+            merge_seeds(pending);
+            adaptive_sweep(pending, slab)
         }
     };
     match exec {
-        ExecutedSweep::Full => (ChunkSet::All(nc), None),
+        ExecutedSweep::Full => (ChunkSet::All(slab.num_chunks()), None),
         ExecutedSweep::Worklist => {
-            let probes = act.seed(dep(), pending, mask);
+            let probes = act.seed(slab, pending, mask);
             pending.clear();
             let act: &'a ActivationState = act;
             (ChunkSet::List(act.worklist()), Some(probes))
@@ -414,45 +354,74 @@ mod tests {
         assert_eq!(cfg, SweepConfig { sweep: SweepMode::Worklist, schedule: Schedule::Dynamic });
     }
 
-    #[test]
-    fn thresholds_bracket_the_crossover() {
-        for nc in [1usize, 2, 3, 16, 17, 100, 1 << 14] {
-            let enter = AdaptiveController::enter_max(nc);
-            let exit = AdaptiveController::exit_min(nc);
-            assert!(enter < exit, "band inverted at nc={nc}: enter {enter} exit {exit}");
-            assert!(enter >= 1);
-            if nc >= 16 {
-                assert!(enter < nc / 2, "enter {enter} not below crossover at nc={nc}");
-                assert!(exit > nc / 2, "exit {exit} not above crossover at nc={nc}");
-            }
+    /// A slab of `cl.len()` chunks, C = 4, with the given lengths
+    /// (column contents do not matter to the gate).
+    fn slab_of(cl: &[u32]) -> (Vec<usize>, Vec<i32>) {
+        let mut cs = Vec::new();
+        let mut total = 0usize;
+        for &l in cl {
+            cs.push(total);
+            total += l as usize * 4;
         }
+        (cs, vec![-1; total])
     }
 
     #[test]
-    fn controller_hysteresis_does_not_thrash() {
-        let nc = 160; // enter_max = 70, exit_min = 90
-        let mut ctl = AdaptiveController::new();
-        assert_eq!(ctl.mode(), ExecutedSweep::Worklist);
-        // Inside the band nothing changes, from either latched mode.
-        assert_eq!(ctl.decide(80, nc), ExecutedSweep::Worklist);
-        assert_eq!(ctl.decide(89, nc), ExecutedSweep::Worklist);
-        // Crossing the exit threshold flips to full...
-        assert_eq!(ctl.decide(90, nc), ExecutedSweep::Full);
-        // ...and the band again holds.
-        assert_eq!(ctl.decide(80, nc), ExecutedSweep::Full);
-        assert_eq!(ctl.decide(71, nc), ExecutedSweep::Full);
-        // Crossing the enter threshold flips back.
-        assert_eq!(ctl.decide(70, nc), ExecutedSweep::Worklist);
+    fn gate_prices_seed_cells_not_seed_chunks() {
+        // One hub chunk holds 64 of the 96 steps: seeding it alone is a
+        // flood, while 31 one-step chunks (124 of 384 cells) stay below
+        // the 1/3 bound and 32 reach it.
+        let mut cl = vec![64u32];
+        cl.extend([1; 32]);
+        let (cs, col) = slab_of(&cl);
+        let slab = ColumnSlab { cs: &cs, cl: &cl, col: &col, lanes: 4 };
+        assert_eq!(adaptive_sweep(&[(0, 1)], slab), ExecutedSweep::Full);
+        let light: Vec<(u32, u32)> = (1..=31).map(|j| (j, 1)).collect();
+        assert_eq!(adaptive_sweep(&light, slab), ExecutedSweep::Worklist);
+        let light: Vec<(u32, u32)> = (1..=32).map(|j| (j, 1)).collect();
+        assert_eq!(adaptive_sweep(&light, slab), ExecutedSweep::Full);
     }
 
     #[test]
-    fn tiny_chunk_ranges_still_take_the_worklist_path() {
-        // nc = 1: enter_max clamps to 1, exit_min to 2, and the seed
-        // count can never reach 2 on one chunk — so a 1-chunk graph
-        // runs worklist sweeps instead of degenerating to full sweeps
-        // through a 0-width band.
-        let mut ctl = AdaptiveController::new();
-        assert_eq!(ctl.decide(1, 1), ExecutedSweep::Worklist);
-        assert_eq!(ctl.decide(0, 1), ExecutedSweep::Worklist);
+    fn gate_takes_the_worklist_with_no_seeds() {
+        let cl = [3u32, 0, 2];
+        let (cs, col) = slab_of(&cl);
+        let slab = ColumnSlab { cs: &cs, cl: &cl, col: &col, lanes: 4 };
+        assert_eq!(adaptive_sweep(&[], slab), ExecutedSweep::Worklist);
+        // Zero-length seed chunks cost nothing to walk.
+        assert_eq!(adaptive_sweep(&[(1, 0b1111)], slab), ExecutedSweep::Worklist);
+        assert_eq!(adaptive_sweep(&[(0, 1)], slab), ExecutedSweep::Full);
+    }
+
+    #[test]
+    fn gate_stops_summing_once_the_bound_is_crossed() {
+        // The first seed alone crosses the bound; the out-of-range id
+        // behind it is never read.
+        let cl = [8u32, 1];
+        let (cs, col) = slab_of(&cl);
+        let slab = ColumnSlab { cs: &cs, cl: &cl, col: &col, lanes: 4 };
+        assert_eq!(adaptive_sweep(&[(0, 1), (u32::MAX, 1)], slab), ExecutedSweep::Full);
+    }
+
+    #[test]
+    fn resolve_sweep_merges_seeds_before_pricing_them() {
+        // Chunk 1 pushed 8 times (one entry per lane) is one seed of 4
+        // cells out of 72: the worklist.
+        let cl = [16u32, 1, 1];
+        let (cs, col) = slab_of(&cl);
+        let slab = ColumnSlab { cs: &cs, cl: &cl, col: &col, lanes: 4 };
+        let mut pending: Vec<(u32, u32)> = (0..8).map(|l| (1, 1 << (l % 4))).collect();
+        let mut act = ActivationState::new();
+        let (set, seeded) = resolve_sweep(SweepMode::Adaptive, &mut act, slab, &mut pending, None);
+        assert_eq!(set.executed(), ExecutedSweep::Worklist);
+        assert_eq!(set.len(), 1);
+        assert_eq!(seeded, Some(1));
+        assert!(pending.is_empty());
+        // A full decision leaves the merged seeds in place.
+        let mut pending = vec![(0, 1), (0, 2)];
+        let (set, seeded) = resolve_sweep(SweepMode::Adaptive, &mut act, slab, &mut pending, None);
+        assert_eq!(set.executed(), ExecutedSweep::Full);
+        assert_eq!(seeded, None);
+        assert_eq!(pending, vec![(0, 3)]);
     }
 }

@@ -1,5 +1,5 @@
-//! Chunk dependency graph and epoch-stamped activation worklists — the
-//! substrate of frontier-proportional BFS sweeps.
+//! Epoch-stamped activation worklists seeded from the matrix's own
+//! columns — the substrate of frontier-proportional sweeps.
 //!
 //! SlimWork (§III-C) skips *finished* chunks, but a full sweep still
 //! visits every chunk every iteration just to run the skip test, so a
@@ -7,22 +7,32 @@
 //! a thin wavefront. The worklist engine makes the per-iteration cost
 //! proportional to the active frontier instead:
 //!
-//! 1. [`ChunkDepGraph`] is computed **once per graph** at structure
-//!    build time: a CSR at chunk granularity where `dependents(j)` lists
-//!    every chunk whose column indices fall in chunk `j`'s row range —
-//!    i.e. the chunks that must re-run when `j`'s vertices change —
+//! 1. **The matrix is its own dependency graph.** Chunk `t` must
+//!    re-run after chunk `j` changed in lanes `L` iff one of `t`'s rows
+//!    gathers from a row `j·C + l` with `l ∈ L`. Every graph here is
+//!    undirected and the σ-sort permutes rows and columns
+//!    symmetrically, so that holds iff row `j·C + l` itself stores a
+//!    column inside `t`'s row range. Seeding is therefore a push step
+//!    over the changed lanes of `j`'s own [`ColumnSlab`]: lane `l`
+//!    activates `col[cs[j] + k·C + l] / C` for every step `k < cl[j]`,
 //!    plus `j` itself (a chunk whose own state changed must re-run its
-//!    post-processing, and its double-buffered slots are stale). Each
-//!    dependency edge carries a **source-lane mask**: bit `l` is set iff
-//!    the dependent actually gathers from row `j·C + l`, so a change
-//!    confined to other lanes need not activate it.
+//!    post-processing, and its double-buffered slot is stale). Nothing
+//!    is built or stored up front, and the walk reads only cells of
+//!    chunks the previous sweep just processed.
 //! 2. [`ActivationState`] turns "which chunks changed last iteration,
 //!    and in which lanes" into the next iteration's sorted,
-//!    duplicate-free worklist with an epoch-stamped activation array:
-//!    no hashing, no atomics, `O(Σ |dependents(changed)|)` per
-//!    iteration, deterministic at any thread count. An edge whose lane
-//!    mask misses the changed-lane mask is filtered out — the
-//!    lane-granular precision lever on top of chunk-granular seeds.
+//!    duplicate-free worklist. One stamp word per chunk, holding the
+//!    epoch and the seed that last reached it, folds dependents shared
+//!    by several seeds and counts each (seed, dependent) pair once, so
+//!    the reported activations are the distinct lane-filtered
+//!    dependency edges: no hashing, no atomics,
+//!    `O(Σ seed cells)` per iteration, deterministic at any thread
+//!    count.
+//!
+//! [`ChunkDepGraph`] materializes the same relation as a chunk-level
+//! CSR with per-edge source-lane masks. No kernel reads it: it is the
+//! oracle the column walk is tested against, and benchmark reports
+//! still time and size it.
 //!
 //! Correctness rests on one invariant the engine maintains: outside the
 //! worklist, the next-state buffer already equals the current state
@@ -41,27 +51,27 @@
 //! use slimsell_graph::GraphBuilder;
 //!
 //! // A path 0-1-…-7 with C = 4: chunk 0 holds rows 0..4, chunk 1 rows
-//! // 4..8. Each chunk reads one row of the other, so each depends on
-//! // both (self edges included).
+//! // 4..8, and only the 3-4 edge crosses between them.
 //! let g = GraphBuilder::new(8).edges((0..7u32).map(|v| (v, v + 1))).build();
 //! let s = SellStructure::<4>::build(&g, 1);
-//! let dep = s.dep_graph();
-//! assert_eq!(dep.dependents(0), &[0, 1]);
-//! assert_eq!(dep.dependents(1), &[0, 1]);
 //!
-//! // Seeding all lanes of chunk 0 activates both; duplicate seeds are
-//! // folded up front, duplicate dependents by the epoch stamps.
+//! // Seeding all lanes of chunk 0 activates both chunks; duplicate
+//! // seeds are folded up front, duplicate dependents by the stamps.
 //! let mut act = ActivationState::new();
 //! let full = full_lane_mask(4);
-//! act.seed(dep, &mut vec![(0, full), (0, full)], None);
+//! act.seed(s.column_slab(), &mut vec![(0, full), (0, full)], None);
 //! assert_eq!(act.worklist(), &[0, 1]);
 //!
-//! // Chunk 1 gathers only row 3 of chunk 0 (the 0-4 path edge is row
-//! // 4's column 3 … row 3's column 4): a change confined to lane 0
-//! // re-activates chunk 0 (self edge, all lanes) but not chunk 1.
-//! act.seed(dep, &mut vec![(0, 0b0001)], None);
+//! // Only row 3 (lane 3) of chunk 0 stores a column in chunk 1: a
+//! // change confined to lane 0 re-activates chunk 0 (self edge, all
+//! // lanes) but not chunk 1.
+//! act.seed(s.column_slab(), &mut vec![(0, 0b0001)], None);
 //! assert_eq!(act.worklist(), &[0]);
+//! act.seed(s.column_slab(), &mut vec![(0, 0b1000)], None);
+//! assert_eq!(act.worklist(), &[0, 1]);
 //! ```
+
+use crate::mask::VertexMask;
 
 /// All-lanes mask for chunk height `lanes` (`lanes ≤ 32`; the engine's
 /// `SUPPORTED_LANES` max out at 32, matching the `u32` mask width).
@@ -81,8 +91,10 @@ pub fn full_lane_mask(lanes: usize) -> u32 {
 /// `j`'s lanes the dependent actually reads (the self edge is all
 /// lanes: any local change requires re-running post-processing).
 ///
-/// Built once per [`crate::SellStructure`]; see the module docs for the
-/// role it plays in the worklist engine.
+/// The relation it stores is already in the matrix (see the module
+/// docs), so no kernel builds or reads one: [`ActivationState::seed`]
+/// walks the column slab instead. It stays as the test oracle for that
+/// walk and as the structure benchmark reports time and size.
 #[derive(Clone, Debug)]
 pub struct ChunkDepGraph {
     /// CSR offsets, length `nc + 1`.
@@ -191,20 +203,32 @@ impl ChunkDepGraph {
     pub fn num_deps(&self) -> usize {
         self.targets.len()
     }
+}
 
-    /// Largest dependent list (worst-case activation fan-out of a
-    /// single changed chunk).
-    pub fn max_fanout(&self) -> usize {
-        (0..self.num_chunks()).map(|j| self.dependents(j).len()).max().unwrap_or(0)
-    }
+/// A matrix's column slab as the worklist seed reads it: chunk offsets
+/// (`cs`), chunk lengths (`cl`), column ids in chunk-column-major order
+/// with `-1` padding (`col`), and the chunk height `C` (`lanes`). Cell
+/// `cs[j] + k·C + l` is step `k` of row `j·C + l`. Borrowed from
+/// [`SellStructure::column_slab`](crate::SellStructure::column_slab) or
+/// the weighted matrix; it is also what the adaptive gate
+/// ([`crate::sweep::adaptive_sweep`]) prices seeds in.
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnSlab<'a> {
+    /// Chunk start offsets into `col`, length `nc`.
+    pub cs: &'a [usize],
+    /// Chunk lengths (column steps), length `nc`.
+    pub cl: &'a [u32],
+    /// Column ids; `-1` marks padding, always at a row's tail.
+    pub col: &'a [i32],
+    /// The chunk height `C` (at most 32, the lane-mask width).
+    pub lanes: usize,
+}
 
-    /// Mean dependents per chunk — the expected activation cost of one
-    /// changed chunk.
-    pub fn avg_fanout(&self) -> f64 {
-        if self.num_chunks() == 0 {
-            return 0.0;
-        }
-        self.num_deps() as f64 / self.num_chunks() as f64
+impl ColumnSlab<'_> {
+    /// Number of chunks.
+    #[inline]
+    pub fn num_chunks(&self) -> usize {
+        self.cs.len()
     }
 }
 
@@ -212,19 +236,25 @@ impl ChunkDepGraph {
 /// their changed-lane masks) into the next iteration's sorted,
 /// deduplicated active-chunk list.
 ///
-/// [`seed`](Self::seed) expands the dependents of every seed chunk
-/// through a stamp array (`stamp[t] == epoch` means "already on the
-/// next list"), filtering each dependency edge against the seed's
-/// changed-lane mask, so the union is built without hashing or atomics;
-/// the result is sorted once, keeping tile partitions and merges
-/// deterministic at any thread count. The sweep over the worklist
+/// [`seed`](Self::seed) walks every seed chunk's changed rows in the
+/// column slab and lists the chunks they name through a stamp array
+/// (a stamp from the current epoch means "already on the next list"),
+/// so the union
+/// is built without hashing or atomics; the result is sorted once,
+/// keeping tile partitions and merges deterministic at any thread
+/// count. The sweep over the worklist
 /// ([`ChunkSet::List`](crate::tiling::ChunkSet::List)) records
 /// per-position changed-lane masks, and
 /// [`ChunkSet::harvest`](crate::tiling::ChunkSet::harvest) turns them
 /// into the next seeds.
 #[derive(Clone, Debug, Default)]
 pub struct ActivationState {
-    stamp: Vec<u32>,
+    /// Per chunk: the epoch (high half) and the seed position (low
+    /// half) that last activated it. A high half equal to the current
+    /// epoch means "already on the worklist"; the whole word equal to
+    /// the current seed's key means "this seed already reached it",
+    /// which keeps each (seed, dependent) pair one activation.
+    stamp: Vec<u64>,
     epoch: u32,
     worklist: Vec<u32>,
     activations: u64,
@@ -237,24 +267,23 @@ impl ActivationState {
         Self::default()
     }
 
-    /// Rebuilds the worklist as the sorted, deduplicated union of
-    /// `dependents(j)` over the seed chunks `j`, keeping only dependents
-    /// whose edge mask intersects the seed's changed-lane mask. The seed
-    /// list is sorted and its masks merged (OR) per chunk first, so
-    /// callers may push duplicates freely (the direction-optimized
-    /// driver pushes one entry per discovered *vertex*) without
-    /// multiplying the dependent walks. Returns the number of
-    /// activations performed (dependency edges whose lane filter
-    /// passed) — the work measure reported as
+    /// Rebuilds the worklist as the sorted, deduplicated set of chunks
+    /// named by the seeds' changed rows in `slab`, plus the seeds
+    /// themselves. The seed list is sorted and its masks merged (OR)
+    /// per chunk first, so callers may push duplicates freely (the
+    /// direction-optimized driver pushes one entry per discovered
+    /// *vertex*) without multiplying the walks. Returns the number of
+    /// activations performed — distinct (seed, dependent) pairs, i.e.
+    /// [`ChunkDepGraph`] edges whose lane mask meets the seed's — the
+    /// work measure reported as
     /// [`IterStats::activations`](crate::counters::IterStats::activations).
     /// Seeding every chunk with [`full_lane_mask`] reproduces the
     /// chunk-granular behavior exactly.
     ///
-    /// A [`VertexMask`](crate::mask::VertexMask) restricts the
-    /// expansion: dependents with no
-    /// allowed real lane are dropped *before* their probe is counted
-    /// (a fully masked chunk can never change state, so listing it
-    /// would only waste skip tests). Partially masked dependents are
+    /// A [`VertexMask`] restricts the expansion: dependents with no
+    /// allowed real lane are dropped *before* their activation is
+    /// counted (a fully masked chunk can never change state, so listing
+    /// it would only waste skip tests). Partially masked dependents are
     /// kept — their allowed lanes still need the sweep. The seed's
     /// *self edge* is exempt from the filter: a chunk that changed
     /// last iteration has a stale double-buffered slot that must be
@@ -264,54 +293,71 @@ impl ActivationState {
     /// same mask every iteration.
     pub fn seed(
         &mut self,
-        dep: &ChunkDepGraph,
+        slab: ColumnSlab<'_>,
         seeds: &mut Vec<(u32, u32)>,
-        mask: Option<&crate::mask::VertexMask>,
+        mask: Option<&VertexMask>,
     ) -> u64 {
-        seeds.sort_unstable_by_key(|&(j, _)| j);
-        // Merge duplicate chunks by OR-ing their lane masks.
-        seeds.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 |= next.1;
-                true
-            } else {
-                false
-            }
-        });
-        let nc = dep.num_chunks();
+        merge_seeds(seeds);
+        let (nc, lanes) = (slab.num_chunks(), slab.lanes);
+        // Chunk heights are powers of two: `c >> shift` is `c / C`
+        // without a hardware divide per cell.
+        let shift = lanes.trailing_zeros();
         if self.stamp.len() < nc {
             self.stamp.resize(nc, 0);
         }
         // Advance the epoch; on wrap, clear the stamps so stale epochs
-        // can never collide (once every 2^32 - 2 iterations).
+        // can never collide (once every 2^32 - 1 calls).
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamp.fill(0);
             self.epoch = 1;
         }
-        let epoch = self.epoch;
-        self.worklist.clear();
+        let listed = u64::from(self.epoch) << 32;
+        let Self { stamp, worklist, .. } = self;
+        worklist.clear();
         let mut activations = 0u64;
-        for &(j, seed_mask) in seeds.iter() {
+        // Activates `t` for the seed whose key is `key`, once per pair;
+        // the first activation this epoch lists `t`.
+        let mut activate = |t: usize, key: u64| {
+            let slot = &mut stamp[t];
+            if *slot != key {
+                if *slot < listed {
+                    worklist.push(t as u32);
+                }
+                *slot = key;
+                activations += 1;
+            }
+        };
+        for (pos, &(j, seed_mask)) in seeds.iter().enumerate() {
+            let seed_mask = seed_mask & full_lane_mask(lanes);
             if seed_mask == 0 {
                 continue;
             }
-            let deps = dep.dependents(j as usize);
-            let masks = dep.edge_masks(j as usize);
-            for (&t, &edge_mask) in deps.iter().zip(masks) {
-                if seed_mask & edge_mask == 0 {
-                    continue; // dependent gathers none of the changed rows
-                }
-                if let Some(m) = mask {
-                    if t != j && m.allowed_real(t as usize) == 0 {
-                        continue; // fully masked: skipped before the probe
+            let key = listed | pos as u64;
+            let j = j as usize;
+            // The self edge: all lanes, exempt from the vertex mask.
+            activate(j, key);
+            // `live` drops a lane at its first padding cell: padding
+            // only ever trails a row.
+            let mut live = seed_mask;
+            for step in slab.col[slab.cs[j]..].chunks_exact(lanes).take(slab.cl[j] as usize) {
+                let mut bits = live;
+                while bits != 0 {
+                    let l = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let c = step[l];
+                    if c < 0 {
+                        live &= !(1 << l);
+                        continue;
+                    }
+                    let t = c as usize >> shift;
+                    // A fully masked dependent is dropped before it counts.
+                    if mask.is_none_or(|m| m.allowed_real(t) != 0) {
+                        activate(t, key);
                     }
                 }
-                activations += 1;
-                let slot = &mut self.stamp[t as usize];
-                if *slot != epoch {
-                    *slot = epoch;
-                    self.worklist.push(t);
+                if live == 0 {
+                    break;
                 }
             }
         }
@@ -334,6 +380,20 @@ impl ActivationState {
     }
 }
 
+/// Sorts a `(chunk, lane mask)` seed list by chunk and merges duplicate
+/// chunks by OR-ing their lane masks.
+pub(crate) fn merge_seeds(seeds: &mut Vec<(u32, u32)>) {
+    seeds.sort_unstable_by_key(|&(j, _)| j);
+    seeds.dedup_by(|next, prev| {
+        if next.0 == prev.0 {
+            prev.1 |= next.1;
+            true
+        } else {
+            false
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,10 +402,13 @@ mod tests {
 
     const FULL4: u32 = 0b1111;
 
-    fn dep_of(n: usize, edges: &[(u32, u32)]) -> ChunkDepGraph {
+    fn structure(n: usize, edges: &[(u32, u32)]) -> SellStructure<4> {
         let g = GraphBuilder::new(n).edges(edges.iter().copied()).build();
-        let s = SellStructure::<4>::build(&g, 1);
-        s.dep_graph().clone()
+        SellStructure::<4>::build(&g, 1)
+    }
+
+    fn dep_of(n: usize, edges: &[(u32, u32)]) -> ChunkDepGraph {
+        structure(n, edges).dep_graph().clone()
     }
 
     #[test]
@@ -389,8 +452,6 @@ mod tests {
         // only row 8 (lane 0) of chunk 2.
         assert_eq!(dep.edge_masks(1)[0], FULL4);
         assert_eq!(dep.edge_masks(2)[0], 0b0001);
-        assert!(dep.max_fanout() >= 3); // chunk 0: itself + chunks 1, 2
-        assert!(dep.avg_fanout() >= 1.0);
     }
 
     #[test]
@@ -446,12 +507,14 @@ mod tests {
 
     #[test]
     fn seed_dedups_and_merges_masks() {
-        let dep = dep_of(16, &[(0, 15), (4, 8)]);
+        let s = structure(16, &[(0, 15), (4, 8)]);
+        let dep = s.dep_graph();
         let mut act = ActivationState::new();
         // Duplicate seeds are folded before expansion: chunk 3's
         // dependents are walked once, not twice; full masks pass every
         // edge filter, reproducing chunk-granular probe counts.
-        let probes = act.seed(&dep, &mut vec![(3, FULL4), (0, FULL4), (3, 0b0010)], None);
+        let probes =
+            act.seed(s.column_slab(), &mut vec![(3, FULL4), (0, FULL4), (3, 0b0010)], None);
         assert_eq!(probes as usize, dep.dependents(3).len() + dep.dependents(0).len());
         let wl = act.worklist().to_vec();
         assert!(wl.windows(2).all(|w| w[0] < w[1]), "worklist not sorted/dedup: {wl:?}");
@@ -461,32 +524,53 @@ mod tests {
     #[test]
     fn lane_filter_prunes_unread_dependents() {
         // 0-7 edge: chunk 1 gathers only row 0 (lane 0) of chunk 0.
-        let dep = dep_of(8, &[(0, 7)]);
+        let s = structure(8, &[(0, 7)]);
         let mut act = ActivationState::new();
         // A change confined to lane 2 of chunk 0: the self edge fires,
         // the cross edge (lane 0) is filtered out.
-        act.seed(&dep, &mut vec![(0, 0b0100)], None);
+        act.seed(s.column_slab(), &mut vec![(0, 0b0100)], None);
         assert_eq!(act.worklist(), &[0]);
         assert_eq!(act.activations(), 1);
         // A change on lane 0 activates both.
-        act.seed(&dep, &mut vec![(0, 0b0001)], None);
+        act.seed(s.column_slab(), &mut vec![(0, 0b0001)], None);
         assert_eq!(act.worklist(), &[0, 1]);
         assert_eq!(act.activations(), 2);
         // Zero masks seed nothing.
-        act.seed(&dep, &mut vec![(0, 0)], None);
+        act.seed(s.column_slab(), &mut vec![(0, 0)], None);
         assert!(act.worklist().is_empty());
         assert_eq!(act.activations(), 0);
     }
 
     #[test]
-    fn reseeding_clears_previous_worklist() {
-        let dep = dep_of(16, &[]);
+    fn repeated_cells_count_one_activation() {
+        // Rows 0 and 1 of chunk 0 both reach chunk 1 through several
+        // cells; the pair (0, 1) is one activation, as in the oracle.
+        let s = structure(8, &[(0, 4), (0, 5), (1, 6), (1, 7), (0, 1)]);
         let mut act = ActivationState::new();
-        act.seed(&dep, &mut vec![(0, FULL4), (1, FULL4), (2, FULL4)], None);
+        assert_eq!(act.seed(s.column_slab(), &mut vec![(0, 0b0011)], None), 2);
+        assert_eq!(act.worklist(), &[0, 1]);
+    }
+
+    #[test]
+    fn vertex_mask_drops_masked_dependents_but_not_the_seed() {
+        let s = structure(12, &[(0, 4), (0, 8)]);
+        let only_chunk_1 = VertexMask::from_permuted(12, 4, 4..8);
+        let mut act = ActivationState::new();
+        // Chunk 2 is fully masked: dropped before it counts. The seed
+        // (chunk 0, also fully masked) keeps its self edge.
+        assert_eq!(act.seed(s.column_slab(), &mut vec![(0, 0b0001)], Some(&only_chunk_1)), 2);
+        assert_eq!(act.worklist(), &[0, 1]);
+    }
+
+    #[test]
+    fn reseeding_clears_previous_worklist() {
+        let s = structure(16, &[]);
+        let mut act = ActivationState::new();
+        act.seed(s.column_slab(), &mut vec![(0, FULL4), (1, FULL4), (2, FULL4)], None);
         assert_eq!(act.worklist(), &[0, 1, 2]);
-        act.seed(&dep, &mut vec![(3, FULL4)], None);
+        act.seed(s.column_slab(), &mut vec![(3, FULL4)], None);
         assert_eq!(act.worklist(), &[3]);
-        act.seed(&dep, &mut Vec::new(), None);
+        act.seed(s.column_slab(), &mut Vec::new(), None);
         assert!(act.worklist().is_empty());
         assert_eq!(act.activations(), 0);
     }

@@ -45,16 +45,16 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/betweenness-forward/worklist", 0xb3d126f954bcba2a),
     ("kron10/descriptor/worklist", 0xc0fc8a205d7898ca),
     ("kron10/descriptor-pull/worklist", 0x82d25c9f080a3e31),
-    ("kron10/bfs-tropical/adaptive", 0x5119007ebb97fe5e),
-    ("kron10/bfs-selmax/adaptive", 0x5119007ebb97fe5e),
-    ("kron10/bfs-boolean/adaptive", 0x32e67e5edf463024),
-    ("kron10/slimchunk-tropical/adaptive", 0x5119007ebb97fe5e),
-    ("kron10/sssp/adaptive", 0x280e448fd7aada22),
+    ("kron10/bfs-tropical/adaptive", 0xcb6b396443811545),
+    ("kron10/bfs-selmax/adaptive", 0xcb6b396443811545),
+    ("kron10/bfs-boolean/adaptive", 0x406ad2081e426301),
+    ("kron10/slimchunk-tropical/adaptive", 0xcb6b396443811545),
+    ("kron10/sssp/adaptive", 0xb2bd58b5c27750ae),
     ("kron10/msbfs-8/adaptive", 0x6700d900ab070f78),
     ("kron10/pagerank/adaptive", 0xfcfa137014087917),
-    ("kron10/betweenness-forward/adaptive", 0x32e67e5edf463024),
-    ("kron10/descriptor/adaptive", 0x87b600c9e0407bce),
-    ("kron10/descriptor-pull/adaptive", 0x6e80b713587910aa),
+    ("kron10/betweenness-forward/adaptive", 0x406ad2081e426301),
+    ("kron10/descriptor/adaptive", 0x3ae220fd4e0de693),
+    ("kron10/descriptor-pull/adaptive", 0x053c8d6d856d4987),
     ("road11/bfs-tropical/full", 0xb068cee66ad41728),
     ("road11/bfs-selmax/full", 0xb068cee66ad41728),
     ("road11/bfs-boolean/full", 0xb068cee66ad41728),
@@ -77,12 +77,12 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/descriptor-pull/worklist", 0x935a51e4c26d168a),
     ("road11/bfs-tropical/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-selmax/adaptive", 0x3520d2339b4bbf4d),
-    ("road11/bfs-boolean/adaptive", 0x5ea48b6fbfa1d417),
+    ("road11/bfs-boolean/adaptive", 0x63ddd7596ae99fb3),
     ("road11/slimchunk-tropical/adaptive", 0x3520d2339b4bbf4d),
-    ("road11/sssp/adaptive", 0x9ae1e07d6bb91d13),
-    ("road11/msbfs-8/adaptive", 0x409041bfa943d801),
+    ("road11/sssp/adaptive", 0xcabc16f4927b6556),
+    ("road11/msbfs-8/adaptive", 0x8da0b5b4a4a8cf4a),
     ("road11/pagerank/adaptive", 0xa104022ac2bad345),
-    ("road11/betweenness-forward/adaptive", 0x5ea48b6fbfa1d417),
+    ("road11/betweenness-forward/adaptive", 0x63ddd7596ae99fb3),
     ("road11/descriptor/adaptive", 0x857f00e52c676d44),
     ("road11/descriptor-pull/adaptive", 0x935a51e4c26d168a),
 ];

@@ -263,4 +263,66 @@ proptest! {
                 "iteration count diverged at {} threads", threads);
         }
     }
+
+    /// Seeding a worklist by walking the seed chunks' own columns gives
+    /// exactly the lane-filtered expansion of the materialized
+    /// dependency graph: the same sorted worklist and the same
+    /// activation count, for every chunk height, arbitrary (duplicate,
+    /// partial, stray-bit) changed-lane masks and an optional vertex
+    /// mask. One `ActivationState` is reused across the chunk heights,
+    /// so stale stamps from a previous shape must not leak.
+    #[test]
+    fn column_walk_seed_matches_dependency_graph_oracle(
+        g in arb_graph(),
+        sigma_sel in 0usize..3,
+        seeds in proptest::collection::vec((0usize..64, 0u64..(1u64 << 32), 0usize..3), 0..12),
+        masked in 0usize..2,
+        members in proptest::collection::vec(0usize..60, 0..40),
+    ) {
+        use slimsell::core::worklist::{ActivationState, ChunkDepGraph};
+        use slimsell::core::SellStructure;
+        use std::collections::{BTreeMap, BTreeSet};
+        let n = g.num_vertices();
+        let sigma = [1, 8, n][sigma_sel].max(1);
+        let mut act = ActivationState::new();
+        macro_rules! check {
+            ($c:literal) => {{
+                let s = SellStructure::<$c>::build(&g, sigma);
+                let nc = s.num_chunks();
+                let dep = ChunkDepGraph::build(nc, s.cs(), s.cl(), s.col(), $c);
+                let vmask = (masked == 1)
+                    .then(|| VertexMask::from_permuted(n, $c, members.iter().map(|&v| v % n)));
+                // Dense, single-lane and sparse changed-lane masks.
+                let lanes = |m: u64, kind: usize| match kind {
+                    0 => m as u32,
+                    1 => 1u32 << (m % 32),
+                    _ => (m as u32) & (m as u32).rotate_left(11) & (m as u32).rotate_left(19),
+                };
+                let mut list: Vec<(u32, u32)> =
+                    seeds.iter().map(|&(j, m, k)| ((j % nc) as u32, lanes(m, k))).collect();
+                let mut merged: BTreeMap<u32, u32> = BTreeMap::new();
+                for &(j, m) in &list {
+                    *merged.entry(j).or_default() |= m;
+                }
+                let (mut want, mut want_acts) = (BTreeSet::new(), 0u64);
+                for (&j, &m) in &merged {
+                    let deps = dep.dependents(j as usize).iter().zip(dep.edge_masks(j as usize));
+                    for (&t, &em) in deps {
+                        let masked_out = vmask.as_ref().is_some_and(|vm| vm.allowed_real(t as usize) == 0);
+                        if em & m != 0 && (t == j || !masked_out) {
+                            want_acts += 1;
+                            want.insert(t);
+                        }
+                    }
+                }
+                let got = act.seed(s.column_slab(), &mut list, vmask.as_ref());
+                let want: Vec<u32> = want.into_iter().collect();
+                prop_assert_eq!(act.worklist(), &want[..], "C={} sigma={}", $c, sigma);
+                prop_assert_eq!(got, want_acts, "C={} sigma={}", $c, sigma);
+            }};
+        }
+        check!(4);
+        check!(8);
+        check!(16);
+    }
 }
