@@ -27,8 +27,9 @@
 //! bit-identical across thread counts and schedules because every
 //! chunk's math is independent and writes are positional. The same
 //! sweep (shared via [`crate::tiling`]) drives SlimChunk, PageRank,
-//! SSSP, multi-source BFS and the betweenness forward sweep, and one
-//! span runner serves full and worklist sweeps alike.
+//! multi-source BFS and the betweenness forward sweep, and one span
+//! runner serves full and worklist sweeps alike. Weighted SSSP is this
+//! engine's tropical loop over a weighted matrix ([`mod@crate::sssp`]).
 //!
 //! Worklist sweeps ([`SweepMode::Worklist`]) replace the full sweep
 //! with frontier-proportional sweeps over an active-chunk worklist:
@@ -231,60 +232,11 @@ impl BfsEngine {
         M: ChunkMatrix<C>,
         S: Semiring,
     {
+        let (cur, d, stats) = run_state::<M, S, C>(matrix, root, opts);
         let s = matrix.structure();
-        let n = s.n();
-        assert!((root as usize) < n, "root {root} out of range (n = {n})");
-        let root_p = s.perm().to_new(root) as usize;
-        let np = s.n_padded();
-        if let Some(m) = opts.mask.as_deref() {
-            m.check_layout(s);
-            assert!(m.contains(root_p), "root {root} is not in the vertex mask");
-        }
-
-        let mut cur = StateVecs::new(np);
-        let mut nxt = StateVecs::new(np);
-        let mut d = vec![0.0f32; np];
-        S::init(&mut cur, &mut d, n, root_p);
-
-        let mut scratch = EngineScratch::new();
-        if opts.config.sweep.uses_worklist() {
-            // Establish the worklist invariant once: outside the
-            // worklist the next-state buffer must already equal the
-            // current state, so only listed chunks are ever written
-            // (only the semiring-maintained vectors need copying).
-            S::clone_state(&cur, &mut nxt);
-            scratch.pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
-        }
-
-        let mut stats = RunStats::default();
-        let max_iters = opts.max_iterations.unwrap_or(n + 1);
-        let mut depth = 0u32;
-        loop {
-            depth += 1;
-            let t0 = Instant::now();
-            let record = opts.config.sweep.uses_worklist();
-            let mut it = step::<M, S, C>(
-                matrix,
-                &cur,
-                &mut nxt,
-                &mut d,
-                depth as f32,
-                opts,
-                &mut scratch,
-                record,
-            );
-            it.elapsed = t0.elapsed();
-            let changed = it.changed;
-            stats.iters.push(it);
-            std::mem::swap(&mut cur, &mut nxt);
-            if !changed || depth as usize >= max_iters {
-                break;
-            }
-        }
-
         let perm = s.perm();
         let dist_f = S::distances(&cur, &d);
-        let dist: Vec<u32> = (0..n)
+        let dist: Vec<u32> = (0..s.n())
             .map(|old| {
                 let v = dist_f[perm.to_new(old as VertexId) as usize];
                 if v.is_finite() {
@@ -295,7 +247,7 @@ impl BfsEngine {
             })
             .collect();
         let parent = S::parents(&cur).map(|p| {
-            (0..n)
+            (0..s.n())
                 .map(|old| {
                     let pv = p[perm.to_new(old as VertexId) as usize];
                     if pv == 0.0 {
@@ -308,6 +260,72 @@ impl BfsEngine {
         });
         BfsOutput { dist, parent, stats }
     }
+}
+
+/// The engine loop behind [`BfsEngine::run`]: iterates [`step`] from
+/// `root` until no chunk changes (or the iteration cap), and returns the
+/// final state and distance vectors in permuted ids with the run's
+/// statistics. Min-plus SSSP is this loop over a weighted matrix.
+pub(crate) fn run_state<M, S, const C: usize>(
+    matrix: &M,
+    root: VertexId,
+    opts: &BfsOptions,
+) -> (StateVecs, Vec<f32>, RunStats)
+where
+    M: ChunkMatrix<C>,
+    S: Semiring,
+{
+    let s = matrix.structure();
+    let n = s.n();
+    assert!((root as usize) < n, "root {root} out of range (n = {n})");
+    let root_p = s.perm().to_new(root) as usize;
+    let np = s.n_padded();
+    if let Some(m) = opts.mask.as_deref() {
+        m.check_layout(s);
+        assert!(m.contains(root_p), "root {root} is not in the vertex mask");
+    }
+
+    let mut cur = StateVecs::new(np);
+    let mut nxt = StateVecs::new(np);
+    let mut d = vec![0.0f32; np];
+    S::init(&mut cur, &mut d, n, root_p);
+
+    let mut scratch = EngineScratch::new();
+    let record = opts.config.sweep.uses_worklist();
+    if record {
+        // Establish the worklist invariant once: outside the worklist
+        // the next-state buffer must already equal the current state, so
+        // only listed chunks are ever written (only the
+        // semiring-maintained vectors need copying).
+        S::clone_state(&cur, &mut nxt);
+        scratch.pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
+    }
+
+    let mut stats = RunStats::default();
+    let max_iters = opts.max_iterations.unwrap_or(n + 1);
+    let mut depth = 0u32;
+    loop {
+        depth += 1;
+        let t0 = Instant::now();
+        let mut it = step::<M, S, C>(
+            matrix,
+            &cur,
+            &mut nxt,
+            &mut d,
+            depth as f32,
+            opts,
+            &mut scratch,
+            record,
+        );
+        it.elapsed = t0.elapsed();
+        let changed = it.changed;
+        stats.iters.push(it);
+        std::mem::swap(&mut cur, &mut nxt);
+        if !changed || depth as usize >= max_iters {
+            break;
+        }
+    }
+    (cur, d, stats)
 }
 
 /// The per-chunk MV kernel (Listing 5 lines 3–21 / Listing 6): starts the
@@ -378,17 +396,20 @@ where
         S::copy_forward(cur, base, nx, ng, np);
         return (false, 0, 0, 1);
     }
-    let mut acc = chunk_mv::<M, S, C>(matrix, &cur.x, i);
-    if allowed != full_lane_mask(C) {
+    // The unmasked arm keeps its own copy of the MV loop: sharing one
+    // with the blend arm's store/reload costs the hot loop registers.
+    let acc = if allowed == full_lane_mask(C) {
+        chunk_mv::<M, S, C>(matrix, &cur.x, i)
+    } else {
         let mut lanes = [0.0f32; C];
-        acc.store(&mut lanes);
+        chunk_mv::<M, S, C>(matrix, &cur.x, i).store(&mut lanes);
         for (l, slot) in lanes.iter_mut().enumerate() {
             if allowed & (1 << l) == 0 {
                 *slot = cur.x[base + l];
             }
         }
-        acc = SimdF32::load(&lanes);
-    }
+        SimdF32::load(&lanes)
+    };
     let changed = S::post_chunk(acc, cur, base, nx, ng, np, dd, depth);
     let s = matrix.structure();
     (changed, s.cl()[i] as u64, s.chunk_arcs()[i], 0)

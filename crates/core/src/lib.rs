@@ -2,9 +2,10 @@
 //!
 //! Module map (paper section in parentheses):
 //!
-//! * [`structure`] — the chunked Sell layout shared by Sell-C-σ and
-//!   SlimSell: σ-scoped row sorting, chunk offsets `cs`, chunk lengths
-//!   `cl`, column array with `-1` padding markers (§II-D2, §III-B).
+//! * [`structure`] — the chunked Sell layout shared by every matrix:
+//!   σ-scoped row sorting, chunk offsets `cs`, chunk lengths `cl`,
+//!   column array with `-1` padding markers (§II-D2, §III-B), filled
+//!   by one sort-free transpose pass.
 //! * [`matrix`] — the two representations: [`SellCSigma`] (explicit `val`
 //!   array) and [`SlimSellMatrix`] (`val` derived from `col`, the 50 %
 //!   storage saving of §III-B).
@@ -42,15 +43,16 @@
 //!   substrate (real-semiring forward sweeps);
 //! * [`mod@msbfs`] — multi-source BFS vectorized over the source dimension;
 //! * [`mod@pagerank`] — PageRank as repeated real-semiring SpMV;
-//! * [`mod@sssp`] — weighted min-plus SSSP on Sell-C-σ (the case where the
-//!   explicit `val` array is mandatory, delimiting SlimSell's scope);
+//! * [`mod@sssp`] — weighted SSSP: the tropical engine over a Sell-C-σ
+//!   whose `val` holds the weights (the case where the explicit `val`
+//!   array is mandatory, delimiting SlimSell's scope);
 //! * [`validation`] — Graph500-style structural output validation.
 //!
-//! Every kernel above the engine layer ([`mod@pagerank`], [`mod@sssp`],
-//! [`mod@msbfs`], [`mod@betweenness`], and the BFS driver itself) runs on the
-//! shared chunk-tiling substrate in [`tiling`]; see ARCHITECTURE.md at
-//! the repository root for the cross-crate picture and the
-//! tiling/determinism contract.
+//! Every kernel above the engine layer ([`mod@pagerank`],
+//! [`mod@msbfs`], [`mod@betweenness`], and the BFS driver itself, which
+//! [`mod@sssp`] runs) runs on the shared chunk-tiling substrate in
+//! [`tiling`]; see ARCHITECTURE.md at the repository root for the
+//! cross-crate picture and the tiling/determinism contract.
 
 #![deny(missing_docs)]
 

@@ -66,6 +66,13 @@ impl<const C: usize> SellCSigma<C> {
         Self { structure, val, pad }
     }
 
+    /// Wraps a structure with a value slab laid out like its `col`
+    /// (the weighted build of [`mod@crate::sssp`]).
+    pub(crate) fn from_parts(structure: SellStructure<C>, val: Vec<f32>, pad: f32) -> Self {
+        debug_assert_eq!(val.len(), structure.total_cells());
+        Self { structure, val, pad }
+    }
+
     /// The explicit value array.
     pub fn val(&self) -> &[f32] {
         &self.val
@@ -222,5 +229,14 @@ mod tests {
         // Lane masks are `u32`: C = 64 must fail at build, not at the
         // first worklist sweep.
         SlimSellMatrix::<64>::build(&g(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported chunk height C=64")]
+    fn weighted_chunk_height_beyond_lane_mask_width_rejected() {
+        // The weighted matrix is built on the same structure, so it
+        // inherits the check instead of wrapping `1u32 << lane`.
+        let wg = slimsell_graph::weighted::synthetic_weighted_twin(&g());
+        crate::WeightedSellCSigma::<64>::build(&wg, 6);
     }
 }

@@ -48,8 +48,8 @@ impl StateVecs {
 /// Bit-exact slice inequality (`-0.0 != 0.0`, NaN-safe): the comparison
 /// the worklist engine's change detection is built on, matching the
 /// byte-equality contract of the determinism suite. Public so kernels
-/// with non-[`StateVecs`] state (weighted SSSP labels, PageRank's
-/// pre-scaled vector) run their change detection on the identical rule.
+/// with non-[`StateVecs`] state (PageRank's pre-scaled vector) run
+/// their change detection on the identical rule.
 #[inline]
 pub fn slice_bits_differ(a: &[f32], b: &[f32]) -> bool {
     a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits())

@@ -13,7 +13,6 @@
 //! space, so the dense BFS vectors need no per-access translation. The
 //! permutation is retained for mapping results back.
 
-use rayon::prelude::*;
 use slimsell_graph::{CsrGraph, Permutation, VertexId};
 
 use crate::worklist::{ChunkDepGraph, ColumnSlab};
@@ -56,6 +55,25 @@ impl<const C: usize> SellStructure<C> {
     /// (4, 8, 16 or 32: every lane mask is a `u32`) or the graph is
     /// empty.
     pub fn build(g: &CsrGraph, sigma: usize) -> Self {
+        Self::build_with_weights(g, sigma, None).0
+    }
+
+    /// [`build`](Self::build), plus — when `weights` (one per arc of
+    /// `g`, in its CSR order) is given — a `val` slab laid out like
+    /// `col`, with `+∞` in padding cells (the weighted Sell-C-σ of
+    /// [`mod@crate::sssp`]). Without weights the slab is empty.
+    ///
+    /// The fill is one sequential transpose pass over `g` in σ-sorted
+    /// order: source rows `u'` are visited in ascending new id and `u'`
+    /// is appended at the next free step of each neighbour's row. Every
+    /// `CsrGraph` is symmetric, so row `r` receives exactly its own
+    /// neighbours, in ascending new id — the layout a per-row sort of
+    /// the permuted graph would give, without materializing it.
+    pub(crate) fn build_with_weights(
+        g: &CsrGraph,
+        sigma: usize,
+        weights: Option<&[f32]>,
+    ) -> (Self, Vec<f32>) {
         assert!(
             slimsell_simd::SUPPORTED_LANES.contains(&C),
             "unsupported chunk height C={C} (supported lane counts: {:?})",
@@ -74,7 +92,7 @@ impl<const C: usize> SellStructure<C> {
             }
         }
         let perm = Permutation::from_new_to_old(order);
-        let pg = perm.apply_to_graph(g);
+        let degree = |r: usize| g.degree(perm.to_old(r as VertexId));
 
         let nc = n.div_ceil(C);
         let n_padded = nc * C;
@@ -82,8 +100,8 @@ impl<const C: usize> SellStructure<C> {
         let mut chunk_arcs = vec![0u64; nc];
         for (i, (c, a)) in cl.iter_mut().zip(chunk_arcs.iter_mut()).enumerate() {
             let hi = ((i + 1) * C).min(n);
-            *c = (i * C..hi).map(|r| pg.degree(r as VertexId) as u32).max().unwrap_or(0);
-            *a = (i * C..hi).map(|r| pg.degree(r as VertexId) as u64).sum();
+            *c = (i * C..hi).map(|r| degree(r) as u32).max().unwrap_or(0);
+            *a = (i * C..hi).map(|r| degree(r) as u64).sum();
         }
         let mut cs = vec![0usize; nc];
         let mut total = 0usize;
@@ -91,33 +109,42 @@ impl<const C: usize> SellStructure<C> {
             *s = total;
             total += l as usize * C;
         }
-        // Fill chunks in parallel: carve `col` into the per-chunk
-        // (unequal-length) sub-slices so rayon can own them disjointly.
-        // Build time matters (§IV-D amortization), so this pass is
-        // parallel like the SpMV itself.
+        // `next[r]`: the cell of row r's next free step.
+        let mut next: Vec<usize> = (0..n).map(|r| cs[r / C] + r % C).collect();
         let mut col = vec![-1i32; total];
-        let mut chunk_slices: Vec<&mut [i32]> = Vec::with_capacity(nc);
-        let mut rest: &mut [i32] = &mut col;
-        for &len in cl.iter() {
-            let (head, tail) = rest.split_at_mut(len as usize * C);
-            chunk_slices.push(head);
-            rest = tail;
-        }
-        chunk_slices.into_par_iter().enumerate().for_each(|(i, chunk)| {
-            for lane in 0..C {
-                let r = i * C + lane;
-                if r >= n {
-                    continue; // virtual padding row of the last chunk
-                }
-                for (j, &w) in pg.neighbors(r as VertexId).iter().enumerate() {
-                    chunk[j * C + lane] = w as i32;
+        let mut val = if weights.is_some() { vec![f32::INFINITY; total] } else { Vec::new() };
+        let row_ptr = g.row_ptr();
+        for u_new in 0..n {
+            let u = perm.to_old(u_new as VertexId);
+            let arc0 = row_ptr[u as usize] as usize;
+            for (k, &w) in g.neighbors(u).iter().enumerate() {
+                let r = perm.to_new(w) as usize;
+                let cell = next[r];
+                next[r] += C;
+                col[cell] = u_new as i32;
+                if let Some(wt) = weights {
+                    val[cell] = wt[arc0 + k];
                 }
             }
-        });
-        let arcs = pg.num_arcs();
+        }
+        let arcs = g.num_arcs();
         let padding_cells = total - arcs;
         let dep = std::sync::OnceLock::new();
-        Self { n, n_padded, nc, cs, cl, col, perm, sigma, padding_cells, arcs, chunk_arcs, dep }
+        let s = Self {
+            n,
+            n_padded,
+            nc,
+            cs,
+            cl,
+            col,
+            perm,
+            sigma,
+            padding_cells,
+            arcs,
+            chunk_arcs,
+            dep,
+        };
+        (s, val)
     }
 
     /// Number of (real) rows = vertices.
@@ -396,8 +423,8 @@ mod tests {
         // The first-query cliff was the lazy dependency-graph build
         // inside the first worklist sweep. Every kernel now seeds from
         // the column slab, so running all of them, in every sweep mode
-        // that seeds, must leave the structure's graph unbuilt. (The
-        // weighted matrix used by SSSP has no graph left to build.)
+        // that seeds, must leave the structure's graph unbuilt — the
+        // weighted matrix SSSP runs on included.
         use crate::matrix::{ChunkMatrix, SlimSellMatrix};
         use crate::sweep::SweepMode;
         use crate::{
@@ -420,6 +447,7 @@ mod tests {
             run_descriptor(&m, 0, &Descriptor::default().sweep(sweep));
         }
         assert!(m.structure().dep.get().is_none(), "a kernel built the dependency graph");
+        assert!(w.structure().dep.get().is_none(), "SSSP built the dependency graph");
         // An explicit request still builds (and keeps) it.
         m.structure().dep_graph();
         assert!(m.structure().dep.get().is_some());

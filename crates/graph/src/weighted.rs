@@ -57,6 +57,12 @@ impl WeightedCsrGraph {
         &self.structure
     }
 
+    /// Weight of each stored arc, aligned with the structure's `col`
+    /// (both arcs of an edge carry its weight).
+    pub fn weights(&self) -> &[f32] {
+        &self.weights
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.structure.num_vertices()

@@ -29,7 +29,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/bfs-selmax/full", 0xc4196bf86fb13fbb),
     ("kron10/bfs-boolean/full", 0xc4196bf86fb13fbb),
     ("kron10/slimchunk-tropical/full", 0xc4196bf86fb13fbb),
-    ("kron10/sssp/full", 0x617464797d74bc7c),
+    ("kron10/sssp/full", 0x28bd7c4a65e9bb08),
     ("kron10/msbfs-8/full", 0x4f0702fa0654e34b),
     ("kron10/pagerank/full", 0x3306f767e693f044),
     ("kron10/betweenness-forward/full", 0x8bfb1f6e2b8b087e),
@@ -39,7 +39,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/bfs-selmax/worklist", 0xb3db59831efc5f39),
     ("kron10/bfs-boolean/worklist", 0xb3d126f954bcba2a),
     ("kron10/slimchunk-tropical/worklist", 0xb3db59831efc5f39),
-    ("kron10/sssp/worklist", 0x6b8d0113aff6fbb1),
+    ("kron10/sssp/worklist", 0x65e3ae9845456927),
     ("kron10/msbfs-8/worklist", 0xdec7e72c36c6c6ea),
     ("kron10/pagerank/worklist", 0xa39f60a41f35f7d3),
     ("kron10/betweenness-forward/worklist", 0xb3d126f954bcba2a),
@@ -49,7 +49,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/bfs-selmax/adaptive", 0xcb6b396443811545),
     ("kron10/bfs-boolean/adaptive", 0x406ad2081e426301),
     ("kron10/slimchunk-tropical/adaptive", 0xcb6b396443811545),
-    ("kron10/sssp/adaptive", 0xb2bd58b5c27750ae),
+    ("kron10/sssp/adaptive", 0x068730ad96dcf330),
     ("kron10/msbfs-8/adaptive", 0x6700d900ab070f78),
     ("kron10/pagerank/adaptive", 0xfcfa137014087917),
     ("kron10/betweenness-forward/adaptive", 0x406ad2081e426301),
@@ -59,7 +59,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/bfs-selmax/full", 0xb068cee66ad41728),
     ("road11/bfs-boolean/full", 0xb068cee66ad41728),
     ("road11/slimchunk-tropical/full", 0xb068cee66ad41728),
-    ("road11/sssp/full", 0xe4e79e5ee5626f64),
+    ("road11/sssp/full", 0x24e86167ef26969c),
     ("road11/msbfs-8/full", 0xebf61ce3d36cff7c),
     ("road11/pagerank/full", 0xc25bafc79152ae65),
     ("road11/betweenness-forward/full", 0xf76a354470f2464b),
@@ -69,7 +69,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/bfs-selmax/worklist", 0x3520d2339b4bbf4d),
     ("road11/bfs-boolean/worklist", 0x5ea48b6fbfa1d417),
     ("road11/slimchunk-tropical/worklist", 0x3520d2339b4bbf4d),
-    ("road11/sssp/worklist", 0x9ae1e07d6bb91d13),
+    ("road11/sssp/worklist", 0x08d7412c1b88e63d),
     ("road11/msbfs-8/worklist", 0x04f1aa273fe734bd),
     ("road11/pagerank/worklist", 0x4a63ef3f826aca8e),
     ("road11/betweenness-forward/worklist", 0x5ea48b6fbfa1d417),
@@ -79,7 +79,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/bfs-selmax/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-boolean/adaptive", 0x63ddd7596ae99fb3),
     ("road11/slimchunk-tropical/adaptive", 0x3520d2339b4bbf4d),
-    ("road11/sssp/adaptive", 0xcabc16f4927b6556),
+    ("road11/sssp/adaptive", 0x3985192a15c5472e),
     ("road11/msbfs-8/adaptive", 0x8da0b5b4a4a8cf4a),
     ("road11/pagerank/adaptive", 0xa104022ac2bad345),
     ("road11/betweenness-forward/adaptive", 0x63ddd7596ae99fb3),

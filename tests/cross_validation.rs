@@ -160,6 +160,54 @@ fn descriptor_pull_reproduces_engine_counters() {
 }
 
 #[test]
+fn sssp_is_the_tropical_engine() {
+    // SSSP is the tropical engine with SlimWork off, run over a matrix
+    // whose `val` holds the weights. On the unit-weight twin of every
+    // family it must reproduce the engine's BFS over SlimSell exactly:
+    // the same distances and every per-iteration counter, in every
+    // sweep mode.
+    use slimsell::core::IterStats;
+    let counters = |it: &IterStats| {
+        (
+            it.sweep_mode,
+            it.chunks_processed,
+            it.chunks_skipped,
+            it.chunks_not_on_worklist,
+            it.worklist_len,
+            it.activations,
+            it.changed_chunks,
+            it.col_steps,
+            it.cells,
+            it.active_cells,
+            it.frontier_probes,
+            it.changed,
+        )
+    };
+    for (name, g) in families() {
+        let root = root_of(&g);
+        let n = g.num_vertices();
+        let unit = WeightedCsrGraph::from_edges(n, g.edges().map(|(u, v)| (u, v, 1.0)));
+        let w = WeightedSellCSigma::<8>::build(&unit, n);
+        let slim = SlimSellMatrix::<8>::build(&g, n);
+        for sweep in [SweepMode::Full, SweepMode::Worklist, SweepMode::Adaptive] {
+            let bfs = BfsOptions { slimwork: false, ..Default::default() }.sweep(sweep);
+            let engine = BfsEngine::run::<_, TropicalSemiring, 8>(&slim, root, &bfs);
+            let out = sssp_with(&w, root, &SsspOptions::default().sweep(sweep));
+            let hops: Vec<u32> = out
+                .dist
+                .iter()
+                .map(|&x| if x.is_finite() { x as u32 } else { UNREACHABLE })
+                .collect();
+            assert_eq!(hops, engine.dist, "{name} {sweep:?} dist");
+            assert_eq!(out.iterations, engine.stats.num_iterations(), "{name} {sweep:?}");
+            for (k, (a, b)) in out.stats.iters.iter().zip(&engine.stats.iters).enumerate() {
+                assert_eq!(counters(a), counters(b), "{name} {sweep:?} iter {k}");
+            }
+        }
+    }
+}
+
+#[test]
 fn dp_transform_valid_on_all_families() {
     for (name, g) in families() {
         let root = root_of(&g);

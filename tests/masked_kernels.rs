@@ -213,7 +213,7 @@ fn masked_sssp_matches_filtered_subgraph() {
     let wsub = slimsell::graph::weighted::synthetic_weighted_twin(&sub);
     let m = WeightedSellCSigma::<8>::build(&wg, wg.num_vertices());
     let msub = WeightedSellCSigma::<8>::build(&wsub, wsub.num_vertices());
-    let mask = Arc::new(m.mask_from_original(ids));
+    let mask = Arc::new(VertexMask::from_original(m.structure(), ids));
     for sweep in [SweepMode::Full, SweepMode::Worklist, SweepMode::Adaptive] {
         let reference = sssp_with(&msub, root, &SsspOptions::default().sweep(sweep));
         let opts = SsspOptions::default().sweep(sweep).mask(Some(Arc::clone(&mask)));

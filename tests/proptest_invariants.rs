@@ -179,6 +179,48 @@ proptest! {
         prop_assert!(s.verify_against(&g).is_ok());
     }
 
+    /// The sort-free transpose fill lays out exactly the permuted graph:
+    /// every row holds `perm.apply_to_graph(g)`'s neighbours in order
+    /// with `-1` padding after them, each weight cell holds its edge's
+    /// weight (`+∞` in padding), and the unweighted build is the same
+    /// structure.
+    #[test]
+    fn transpose_fill_matches_permuted_graph(g in arb_graph(), sigma in 1usize..70) {
+        let wg = slimsell::graph::weighted::synthetic_weighted_twin(&g);
+        macro_rules! check {
+            ($c:literal) => {{
+                let m = WeightedSellCSigma::<$c>::build(&wg, sigma);
+                let s = m.structure();
+                let (perm, pg) = (s.perm(), s.perm().apply_to_graph(&g));
+                for r in 0..s.n_padded() {
+                    let (i, lane) = (r / $c, r % $c);
+                    let want = if r < s.n() { pg.neighbors(r as VertexId) } else { &[] };
+                    for k in 0..s.cl()[i] as usize {
+                        let cell = s.cs()[i] + k * $c + lane;
+                        let (col, val) = (s.col()[cell], m.val()[cell]);
+                        match want.get(k) {
+                            Some(&c) => {
+                                prop_assert_eq!(col, c as i32, "C={} row {} step {}", $c, r, k);
+                                let wt = wg.weight(perm.to_old(r as VertexId), perm.to_old(c));
+                                prop_assert_eq!(Some(val.to_bits()), wt.map(f32::to_bits));
+                            }
+                            None => {
+                                prop_assert_eq!(col, -1, "C={} row {} step {}", $c, r, k);
+                                prop_assert_eq!(val, f32::INFINITY);
+                            }
+                        }
+                    }
+                }
+                let plain = slimsell::core::SellStructure::<$c>::build(&g, sigma);
+                prop_assert_eq!(plain.col(), s.col());
+                prop_assert_eq!(plain.cs(), s.cs());
+            }};
+        }
+        check!(4);
+        check!(8);
+        check!(16);
+    }
+
     /// Storage formulas of Table III match measured cells, and SlimSell
     /// is always at most half of Sell-C-σ plus the index arrays.
     #[test]
