@@ -11,21 +11,23 @@
 //! 2. a *backward* sweep accumulating dependencies
 //!    `δ_s(v) = Σ_{w: succ} σ(v)/σ(w) · (1 + δ(w))`.
 //!
-//! The forward sweep reuses the BFS engine's iteration step verbatim
-//! ([`crate::bfs`]), so it rides the same [`SweepMode`] substrate as
+//! The forward sweep *is* the BFS engine's run loop ([`crate::bfs`])
+//! over the real semiring, with an observer that records σ and levels
+//! after each step, so it rides the same [`SweepMode`] substrate as
 //! every other kernel: full sweeps, frontier-proportional worklist
 //! sweeps, or the adaptive gate ([`BetweennessOptions::sweep`],
 //! defaulting to the `SLIMSELL_SWEEP` env var). Every sweep *records*
 //! its change masks — the exact bit-wise changed-chunk list is
-//! harvested each iteration as the deterministic frontier from which σ and levels are recorded, in
-//! ascending chunk order in every mode, so the DAG (and hence the
-//! centralities) is bit-identical across sweep modes and thread
-//! counts. The backward sweep stays **sequential by design**: dependency
-//! accumulation scatters `δ` contributions to predecessors, so
-//! different vertices of one level may write the same `δ[v]` — there is
-//! no chunk-disjoint write pattern to tile over without atomics or
-//! per-thread accumulator arrays, and levels shrink too fast for either
-//! to pay off at this scale. The per-level coefficient pass *is*
+//! harvested each iteration as the deterministic frontier from which
+//! σ and levels are recorded, in ascending chunk order in every mode,
+//! so the DAG (and hence the centralities) is bit-identical across
+//! sweep modes and thread counts. The backward sweep stays
+//! **sequential by design**: dependency accumulation scatters `δ`
+//! contributions to predecessors, so different vertices of one level
+//! may write the same `δ[v]` — there is no chunk-disjoint write
+//! pattern to tile over without atomics or per-thread accumulator
+//! arrays, and levels shrink too fast for either to pay off at this
+//! scale. The per-level coefficient pass *is*
 //! parallel (ordered collect), and the serial scatter keeps the `f64`
 //! accumulation order — and therefore the centralities — bit-identical
 //! at any thread count.
@@ -49,15 +51,13 @@
 //! assert_eq!(bc, vec![0.0, 2.0, 0.0]); // both directions counted
 //! ```
 
-use std::time::Instant;
-
 use rayon::prelude::*;
 use slimsell_graph::VertexId;
 
-use crate::bfs::{step, BfsOptions, EngineScratch};
+use crate::bfs::{run_state, BfsOptions};
 use crate::counters::RunStats;
 use crate::matrix::ChunkMatrix;
-use crate::semiring::{RealSemiring, Semiring, StateVecs};
+use crate::semiring::{RealSemiring, StateVecs};
 use crate::sweep::{SweepConfig, SweepMode};
 use crate::tiling::Schedule;
 
@@ -122,14 +122,14 @@ where
 
 /// Forward sweep from `root` under the given sweep policy.
 ///
-/// Runs the BFS engine's iteration step with change recording forced
-/// on in every mode: the exact bit-wise changed-chunk list of each
-/// iteration (which the adaptive gate needs anyway) doubles as
-/// the frontier from which new levels and σ values are harvested —
-/// a superset of the chunks holding newly discovered vertices, scanned
-/// in ascending chunk order, so the recorded DAG is deterministic
-/// across sweep modes and thread counts while the harvest cost stays
-/// proportional to the changed region instead of the chunk range.
+/// Runs the BFS engine's loop with change recording forced on in every
+/// mode: the exact bit-wise changed-chunk list of each iteration (which
+/// the adaptive gate needs anyway) doubles as the frontier from which
+/// new levels and σ values are harvested — a superset of the chunks
+/// holding newly discovered vertices, scanned in ascending chunk order,
+/// so the recorded DAG is deterministic across sweep modes and thread
+/// counts while the harvest cost stays proportional to the changed
+/// region instead of the chunk range.
 pub fn forward_sweep_with<M, const C: usize>(
     matrix: &M,
     root: VertexId,
@@ -138,65 +138,22 @@ pub fn forward_sweep_with<M, const C: usize>(
 where
     M: ChunkMatrix<C>,
 {
-    type S = RealSemiring;
     let s = matrix.structure();
-    let n = s.n();
-    assert!((root as usize) < n, "root {root} out of range (n = {n})");
-    let root_p = s.perm().to_new(root) as usize;
     let np = s.n_padded();
-
-    let mut cur = StateVecs::new(np);
-    let mut nxt = StateVecs::new(np);
-    let mut d = vec![0.0f32; np];
-    S::init(&mut cur, &mut d, n, root_p);
-
     let mut level = vec![u32::MAX; np];
     let mut sigma = vec![0.0f64; np];
-    let mut levels: Vec<Vec<u32>> = vec![vec![root_p as u32]];
-    level[root_p] = 0;
-    sigma[root_p] = 1.0;
-
+    let mut levels: Vec<Vec<u32>> = Vec::new();
     let bfs_opts = BfsOptions::default().config(opts.config);
-    let mut scratch = EngineScratch::new();
-    if opts.config.sweep.uses_worklist() {
-        // Establish the worklist invariant once (nxt == cur outside the
-        // worklist) and seed from the root's chunk/lane.
-        S::clone_state(&cur, &mut nxt);
-        scratch.pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
-    }
-
-    let mut stats = RunStats::default();
-    let mut depth = 0u32;
-    loop {
-        depth += 1;
-        let t0 = Instant::now();
-        // record = true even in pure full mode: the changed-chunk list
-        // is the harvest frontier, not just re-seeding state.
-        let mut it = step::<M, S, C>(
-            matrix,
-            &cur,
-            &mut nxt,
-            &mut d,
-            depth as f32,
-            &bfs_opts,
-            &mut scratch,
-            true,
-        );
-        it.elapsed = t0.elapsed();
-        let any = it.changed;
-        stats.iters.push(it);
-        // Record σ and level for the newly discovered frontier. After
-        // either sweep kind, `scratch.pending` holds exactly this
-        // iteration's bit-wise changed (chunk, lane-mask) pairs in
-        // ascending chunk order — a newly counted vertex changed its
-        // `x` lane, so its chunk (and lane bit) is always listed.
+    // Record σ and level for the newly discovered frontier. After either
+    // sweep kind, `changed` holds exactly this iteration's bit-wise
+    // changed (chunk, lane-mask) pairs in ascending chunk order — a
+    // newly counted vertex changed its `x` lane, so its chunk (and lane
+    // bit) is always listed.
+    let record = |nxt: &StateVecs, changed: &[(u32, u32)], depth: u32| {
         let mut this_level = Vec::new();
-        for &(chunk, mask) in scratch.pending.iter() {
+        for &(chunk, mask) in changed {
             let base = chunk as usize * C;
-            for lane in 0..C {
-                if mask & (1 << lane) == 0 {
-                    continue;
-                }
+            for lane in (0..C).filter(|&l| mask & (1 << l) != 0) {
                 let v = base + lane;
                 let count = nxt.x[v];
                 if count != 0.0 && level[v] == u32::MAX {
@@ -213,11 +170,14 @@ where
         if !this_level.is_empty() {
             levels.push(this_level);
         }
-        std::mem::swap(&mut cur, &mut nxt);
-        if !any || depth as usize > n {
-            break;
-        }
-    }
+    };
+    let (_, _, stats) = run_state::<M, RealSemiring, C>(matrix, root, &bfs_opts, true, record);
+    // The root is level 0 with σ = 1. The recorder never lists it: its
+    // filter is clear from `init`, so its `x` lane is 0 after every step.
+    let root_p = s.perm().to_new(root) as usize;
+    level[root_p] = 0;
+    sigma[root_p] = 1.0;
+    levels.insert(0, vec![root_p as u32]);
     ShortestPathDag { level, sigma, levels, stats }
 }
 

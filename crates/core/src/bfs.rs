@@ -62,12 +62,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use slimsell_graph::{VertexId, UNREACHABLE};
-use slimsell_simd::{SimdF32, SimdI32};
+use slimsell_simd::SimdF32;
 
 use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
-use crate::semiring::{Semiring, StateVecs};
+use crate::semiring::{clone_state, copy_forward, state_changed_mask, Semiring, StateVecs};
 use crate::slimchunk;
 use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
 use crate::tiling::{ChunkSet, ChunkTiling};
@@ -165,12 +165,12 @@ pub struct BfsOutput {
     pub stats: RunStats,
 }
 
-/// Per-run reusable buffers, owned by [`BfsEngine::run`] (and the
-/// direction-optimized driver and the betweenness forward sweep) and
-/// threaded through every iteration so the hot loop allocates nothing
-/// proportional to the graph: the cached full-range tiling, the
-/// worklist activation machinery, the sweep's change masks and
-/// SlimChunk's per-phase buffers all persist across hops.
+/// Per-run reusable buffers, made by [`init_run`] for the engine loop
+/// and the direction-optimized driver and threaded through every
+/// iteration so the hot loop allocates nothing proportional to the
+/// graph: the cached full-range tiling, the worklist activation
+/// machinery, the sweep's change masks and SlimChunk's per-phase
+/// buffers all persist across hops.
 #[derive(Default)]
 pub(crate) struct EngineScratch {
     /// Cached full-range tiling, keyed by (chunk count, schedule).
@@ -186,12 +186,6 @@ pub(crate) struct EngineScratch {
     pub(crate) masks: Vec<u32>,
     /// SlimChunk's task list, offsets, skip flags and tile partials.
     pub(crate) tasks: slimchunk::TaskBuffers,
-}
-
-impl EngineScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// The cached full-range tiling of [`EngineScratch::tiling`], rebuilt
@@ -232,7 +226,7 @@ impl BfsEngine {
         M: ChunkMatrix<C>,
         S: Semiring,
     {
-        let (cur, d, stats) = run_state::<M, S, C>(matrix, root, opts);
+        let (cur, d, stats) = run_state::<M, S, C>(matrix, root, opts, false, |_, _, _| {});
         let s = matrix.structure();
         let perm = s.perm();
         let dist_f = S::distances(&cur, &d);
@@ -262,15 +256,17 @@ impl BfsEngine {
     }
 }
 
-/// The engine loop behind [`BfsEngine::run`]: iterates [`step`] from
-/// `root` until no chunk changes (or the iteration cap), and returns the
-/// final state and distance vectors in permuted ids with the run's
-/// statistics. Min-plus SSSP is this loop over a weighted matrix.
-pub(crate) fn run_state<M, S, const C: usize>(
+/// The setup every engine run shares: checks `root` (range, mask
+/// layout, mask membership), initializes `cur` and `d` with `S` and,
+/// when the run may sweep a worklist, establishes the worklist
+/// invariant (`nxt` equals `cur` on the vectors `S` declares) and seeds
+/// the pending list with the root's lane. Returns (`cur`, `nxt`, `d`,
+/// scratch, permuted root).
+pub(crate) fn init_run<M, S, const C: usize>(
     matrix: &M,
     root: VertexId,
     opts: &BfsOptions,
-) -> (StateVecs, Vec<f32>, RunStats)
+) -> (StateVecs, StateVecs, Vec<f32>, EngineScratch, usize)
 where
     M: ChunkMatrix<C>,
     S: Semiring,
@@ -279,30 +275,48 @@ where
     let n = s.n();
     assert!((root as usize) < n, "root {root} out of range (n = {n})");
     let root_p = s.perm().to_new(root) as usize;
-    let np = s.n_padded();
     if let Some(m) = opts.mask.as_deref() {
         m.check_layout(s);
-        assert!(m.contains(root_p), "root {root} is not in the vertex mask");
+        assert!(m.contains(root_p), "root {root} is not in the resolved vertex mask");
     }
-
+    let np = s.n_padded();
     let mut cur = StateVecs::new(np);
     let mut nxt = StateVecs::new(np);
     let mut d = vec![0.0f32; np];
     S::init(&mut cur, &mut d, n, root_p);
-
-    let mut scratch = EngineScratch::new();
-    let record = opts.config.sweep.uses_worklist();
-    if record {
-        // Establish the worklist invariant once: outside the worklist
-        // the next-state buffer must already equal the current state, so
-        // only listed chunks are ever written (only the
-        // semiring-maintained vectors need copying).
-        S::clone_state(&cur, &mut nxt);
+    let mut scratch = EngineScratch::default();
+    if opts.config.sweep.uses_worklist() {
+        clone_state::<S>(&cur, &mut nxt);
         scratch.pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
     }
+    (cur, nxt, d, scratch, root_p)
+}
 
+/// The engine loop behind [`BfsEngine::run`], SSSP and the betweenness
+/// forward sweep: iterates [`step`] from `root` until no chunk changes
+/// (or the iteration cap), and returns the final state and distance
+/// vectors in permuted ids with the run's statistics.
+///
+/// `record` forces change recording in pure full-sweep runs too (runs
+/// that may sweep a worklist always record; see [`step`]). After each
+/// step, before the buffer swap, `observe` sees the next state, the
+/// step's harvested `(chunk, lane mask)` change list (empty unless
+/// recording) and the depth.
+pub(crate) fn run_state<M, S, const C: usize>(
+    matrix: &M,
+    root: VertexId,
+    opts: &BfsOptions,
+    record: bool,
+    mut observe: impl FnMut(&StateVecs, &[(u32, u32)], u32),
+) -> (StateVecs, Vec<f32>, RunStats)
+where
+    M: ChunkMatrix<C>,
+    S: Semiring,
+{
+    let (mut cur, mut nxt, mut d, mut scratch, _) = init_run::<M, S, C>(matrix, root, opts);
+    let record = record || opts.config.sweep.uses_worklist();
     let mut stats = RunStats::default();
-    let max_iters = opts.max_iterations.unwrap_or(n + 1);
+    let max_iters = opts.max_iterations.unwrap_or(matrix.structure().n() + 1);
     let mut depth = 0u32;
     loop {
         depth += 1;
@@ -320,6 +334,7 @@ where
         it.elapsed = t0.elapsed();
         let changed = it.changed;
         stats.iters.push(it);
+        observe(&nxt, &scratch.pending, depth);
         std::mem::swap(&mut cur, &mut nxt);
         if !changed || depth as usize >= max_iters {
             break;
@@ -327,6 +342,34 @@ where
     }
     (cur, d, stats)
 }
+
+/// The MV fold every chunk kernel runs: folds `$steps` column steps of
+/// semiring `$S`, starting at cell `$index` of chunk-major `col`/`vals`,
+/// into the accumulator `$acc` (`acc = op1(acc, op2(vals, rhs))` with
+/// `rhs` gathered from `$x`), and evaluates to the result. [`chunk_mv`]
+/// starts from the chunk's previous values, SlimChunk tiles from the
+/// `op1` identity, PageRank from zero. A macro, not an
+/// `#[inline(always)]` function, because the expanded loop compiles
+/// exactly as if written at each call site: through the inlined
+/// function, `chunk_mv` compiled differently and weighted SSSP on
+/// Kronecker 2^16 ran ~8% slower (2-CPU x86-64 host, SSE2 build).
+macro_rules! mv_fold {
+    ($matrix:expr, $S:ty, $C:ident, $x:expr, $index:expr, $steps:expr, $acc:expr) => {{
+        let matrix = $matrix;
+        let col = matrix.structure().col();
+        let mut acc = $acc;
+        let mut index = $index;
+        for _ in 0..$steps {
+            let cols = ::slimsell_simd::SimdI32::<$C>::load(&col[index..]);
+            let vals = matrix.vals(index, cols, <$S as $crate::semiring::Semiring>::PAD);
+            let rhs = ::slimsell_simd::SimdF32::gather_or($x, cols, 0.0);
+            acc = <$S as $crate::semiring::Semiring>::combine(acc, vals, rhs);
+            index += $C;
+        }
+        acc
+    }};
+}
+pub(crate) use mv_fold;
 
 /// The per-chunk MV kernel (Listing 5 lines 3–21 / Listing 6): starts the
 /// accumulator from the chunk's previous values, then folds `cl[i]`
@@ -339,17 +382,19 @@ where
     S: Semiring,
 {
     let s = matrix.structure();
-    let col = s.col();
-    let mut acc = SimdF32::<C>::load(&x[i * C..]);
-    let mut index = s.cs()[i];
-    for _ in 0..s.cl()[i] {
-        let cols = SimdI32::<C>::load(&col[index..]);
-        let vals = matrix.vals(index, cols, S::PAD);
-        let rhs = SimdF32::gather_or(x, cols, 0.0);
-        acc = S::combine(acc, vals, rhs);
-        index += C;
-    }
-    acc
+    mv_fold!(matrix, S, C, x, s.cs()[i], s.cl()[i], SimdF32::<C>::load(&x[i * C..]))
+}
+
+/// The partial-mask lane blend: lanes of `acc` outside `allowed` take
+/// their previous values `prev[l]` back, so the post-processing sees
+/// them as not having run.
+#[inline]
+pub(crate) fn restore_masked_lanes<const C: usize>(
+    acc: SimdF32<C>,
+    prev: &[f32],
+    allowed: u32,
+) -> SimdF32<C> {
+    SimdF32::from_fn(|l| if allowed & (1 << l) != 0 { acc.0[l] } else { prev[l] })
 }
 
 /// One chunk of one iteration: mask/SlimWork skip tests, MV kernel,
@@ -388,27 +433,20 @@ where
     if let Some(m) = mask {
         if m.allowed_real(i) == 0 {
             // Fully masked (no allowed real lane): forward verbatim.
-            S::copy_forward(cur, base, nx, ng, np);
+            copy_forward::<S>(cur, base, nx, ng, np);
             return (false, 0, 0, 1);
         }
     }
     if slimwork && S::should_skip(cur, base..base + C) {
-        S::copy_forward(cur, base, nx, ng, np);
+        copy_forward::<S>(cur, base, nx, ng, np);
         return (false, 0, 0, 1);
     }
-    // The unmasked arm keeps its own copy of the MV loop: sharing one
-    // with the blend arm's store/reload costs the hot loop registers.
+    // The unmasked arm keeps its own `chunk_mv` call: sharing one with
+    // the blend arm costs the hot loop registers.
     let acc = if allowed == full_lane_mask(C) {
         chunk_mv::<M, S, C>(matrix, &cur.x, i)
     } else {
-        let mut lanes = [0.0f32; C];
-        chunk_mv::<M, S, C>(matrix, &cur.x, i).store(&mut lanes);
-        for (l, slot) in lanes.iter_mut().enumerate() {
-            if allowed & (1 << l) == 0 {
-                *slot = cur.x[base + l];
-            }
-        }
-        SimdF32::load(&lanes)
+        restore_masked_lanes(chunk_mv::<M, S, C>(matrix, &cur.x, i), &cur.x[base..], allowed)
     };
     let changed = S::post_chunk(acc, cur, base, nx, ng, np, dd, depth);
     let s = matrix.structure();
@@ -420,8 +458,7 @@ where
 /// worklist when one is due), one sweep over that set (untiled or
 /// SlimChunk) and, when `record` is set, the harvest of the sweep's
 /// change masks into the pending seed list. The shared entry point of
-/// the engine loop, the direction-optimized driver and the betweenness
-/// forward sweep.
+/// the engine loop ([`run_state`]) and the direction-optimized driver.
 ///
 /// `record` is the caller's change-tracking rule. Runs that may sweep a
 /// worklist ([`SweepMode::uses_worklist`]) record every sweep: worklist
@@ -497,7 +534,7 @@ where
             let (c, steps, arcs, skip) =
                 do_chunk::<M, S, C>(matrix, cur, i, out, depth, slimwork, mask);
             if let (Some(f), 0) = (flag, skip) {
-                *f = S::state_changed_mask::<C>(cur, i * C, nx, ng, np);
+                *f = state_changed_mask::<S, C>(cur, i * C, nx, ng, np);
             }
             (c, steps, arcs, skip)
         },

@@ -32,11 +32,11 @@ use std::time::Instant;
 
 use slimsell_graph::{VertexId, UNREACHABLE};
 
-use crate::bfs::{step, BfsOptions, BfsOutput, EngineScratch, Schedule};
+use crate::bfs::{init_run, step, BfsOptions, BfsOutput, Schedule};
 use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
-use crate::semiring::{Semiring, StateVecs, TropicalSemiring};
+use crate::semiring::TropicalSemiring;
 use crate::structure::SellStructure;
 use crate::sweep::{ExecutedSweep, SweepConfig, SweepMode};
 use crate::tiling::ChunkTiling;
@@ -185,36 +185,16 @@ where
     type S = TropicalSemiring;
     let s = matrix.structure();
     let n = s.n();
-    assert!((root as usize) < n, "root {root} out of range (n = {n})");
+    let m2 = s.arcs(); // 2m
     let opts =
         BfsOptions { config: desc.config, mask: desc.resolved_mask(), ..BfsOptions::default() };
     let user = opts.mask.as_deref();
-    if let Some(u) = user {
-        u.check_layout(s);
-    }
-    let root_p = s.perm().to_new(root) as usize;
-    assert!(
-        user.is_none_or(|u| u.contains(root_p)),
-        "root {root} is not in the descriptor's resolved vertex mask"
-    );
-    let np = s.n_padded();
-    let m2 = s.arcs(); // 2m
-
-    let mut cur = StateVecs::new(np);
-    let mut nxt = StateVecs::new(np);
-    let mut d = vec![0.0f32; np];
-    S::init(&mut cur, &mut d, n, root_p);
-
-    let mut scratch = EngineScratch::new();
+    // Worklist invariant for the pull steps (see crate::bfs): outside
+    // the worklist, nxt already equals cur. Push steps write cur in
+    // place, so every chunk they touch goes on the pending list and the
+    // next pull sweep rewrites it.
+    let (mut cur, mut nxt, mut d, mut scratch, root_p) = init_run::<M, S, C>(matrix, root, &opts);
     let track_wl = desc.config.sweep.uses_worklist();
-    if track_wl {
-        // Worklist invariant for the pull steps (see crate::bfs):
-        // outside the worklist, nxt already equals cur. Push steps
-        // write cur in place, so every chunk they touch goes on the
-        // pending list and the next pull sweep rewrites it.
-        S::clone_state(&cur, &mut nxt);
-        scratch.pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
-    }
 
     let mut frontier: Vec<u32> = vec![root_p as u32];
     let mut spare: Vec<u32> = Vec::new();

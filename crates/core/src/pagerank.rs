@@ -50,11 +50,12 @@
 use std::time::Instant;
 
 use slimsell_graph::VertexId;
-use slimsell_simd::{SimdF32, SimdI32};
+use slimsell_simd::SimdF32;
 
+use crate::bfs::mv_fold;
 use crate::counters::{IterStats, RunStats};
 use crate::matrix::ChunkMatrix;
-use crate::semiring::{RealSemiring, Semiring};
+use crate::semiring::RealSemiring;
 use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
 use crate::tiling::{ChunkSet, ChunkTiling, Schedule};
 use crate::worklist::ActivationState;
@@ -275,7 +276,10 @@ where
             [&mut acc[..]],
             None,
             |_, i, [slot], _| {
-                spmv_chunk::<M, C>(matrix, y_ref, i).store(slot);
+                // Unlike the BFS kernel, PageRank must not fold the old
+                // value in: each chunk of `A ⊗_R y` starts from zero.
+                let acc = SimdF32::<C>::zero();
+                mv_fold!(matrix, RealSemiring, C, y_ref, s.cs()[i], s.cl()[i], acc).store(slot);
                 s.cl()[i] as u64
             },
             |a, b| a + b,
@@ -329,27 +333,6 @@ where
     let perm = s.perm();
     let scores = (0..n).map(|old| x[perm.to_new(old as VertexId) as usize]).collect();
     PageRankOutput { scores, iterations, residual, stats }
-}
-
-/// One chunk of `A ⊗_R y` starting from a zero accumulator (unlike the
-/// BFS kernel, PageRank must not fold the old value in).
-#[inline]
-fn spmv_chunk<M, const C: usize>(matrix: &M, y: &[f32], i: usize) -> SimdF32<C>
-where
-    M: ChunkMatrix<C>,
-{
-    let s = matrix.structure();
-    let col = s.col();
-    let mut acc = SimdF32::<C>::zero();
-    let mut index = s.cs()[i];
-    for _ in 0..s.cl()[i] {
-        let cols = SimdI32::<C>::load(&col[index..]);
-        let vals = matrix.vals(index, cols, RealSemiring::PAD);
-        let rhs = SimdF32::gather_or(y, cols, 0.0);
-        acc = RealSemiring::combine(acc, vals, rhs);
-        index += C;
-    }
-    acc
 }
 
 #[cfg(test)]

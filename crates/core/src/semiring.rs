@@ -21,6 +21,12 @@
 //! * `g` — the unvisited filter of the boolean/real semirings (1 =
 //!   not yet visited);
 //! * `p` — sel-max's parent vector (1-based permuted ids; 0 = none).
+//!
+//! A semiring declares which of `g` and `p` it maintains
+//! ([`Semiring::USES_G`], [`Semiring::USES_P`]); the engine's state
+//! bookkeeping — [`copy_forward`], [`clone_state`], [`state_changed`]
+//! and [`state_changed_mask`] — is written once against that
+//! declaration, so no semiring implements it.
 
 use std::ops::Range;
 
@@ -72,9 +78,13 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     const PAD: f32;
     /// `op1` identity: the starting accumulator for SlimChunk tiles.
     const OP1_IDENTITY: f32;
-    /// Whether parents are produced directly (sel-max) or require the
-    /// `DP` transformation.
-    const COMPUTES_PARENTS: bool;
+    /// Whether the semiring maintains the unvisited filter
+    /// [`StateVecs::g`]. Every semiring maintains `x`; a vector it does
+    /// not declare is never read or written by its hooks, so the engine
+    /// neither copies nor compares it.
+    const USES_G: bool;
+    /// Whether the semiring maintains the parent vector [`StateVecs::p`].
+    const USES_P: bool;
 
     /// Element-wise `op1` (used to merge SlimChunk partial results).
     fn op1<const C: usize>(a: SimdF32<C>, b: SimdF32<C>) -> SimdF32<C>;
@@ -107,93 +117,101 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     /// can no longer change and its computation may be skipped.
     fn should_skip(cur: &StateVecs, rows: Range<usize>) -> bool;
 
-    /// Carries a skipped chunk's state into the next iteration (Listing 7
-    /// line 18: `store(&x_k[i*C], load(&x_{k-1}[i*C]))`). Only the vectors
-    /// the semiring actually reads need copying; the default copies
-    /// everything.
-    #[inline]
-    fn copy_forward(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &mut [f32],
-        nxt_g: &mut [f32],
-        nxt_p: &mut [f32],
-    ) {
-        let c = nxt_x.len();
-        nxt_x.copy_from_slice(&cur.x[base..base + c]);
-        nxt_g.copy_from_slice(&cur.g[base..base + c]);
-        nxt_p.copy_from_slice(&cur.p[base..base + c]);
-    }
-
-    /// Establishes the worklist invariant once per run: copies the
-    /// vectors this semiring maintains from `src` into `dst` so that
-    /// outside the worklist the next-state buffer already equals the
-    /// current state. Vectors the semiring never reads or writes stay
-    /// untouched — both buffers start zeroed, so they are already
-    /// equal — which makes this cheaper than a full clone on the
-    /// single-vector semirings. The default copies everything.
-    fn clone_state(src: &StateVecs, dst: &mut StateVecs) {
-        dst.x.copy_from_slice(&src.x);
-        dst.g.copy_from_slice(&src.g);
-        dst.p.copy_from_slice(&src.p);
-    }
-
-    /// Exact output-change test for the worklist engine: whether the
-    /// freshly written next-state of a chunk differs **bit-wise** from
-    /// the previous state over the vectors this semiring maintains.
-    ///
-    /// This is deliberately stricter than the `post_chunk` return value
-    /// (which reports "the frontier advanced here" and may be `false`
-    /// while e.g. a boolean frontier bit clears): a chunk may safely
-    /// drop off the worklist only when *nothing* another chunk could
-    /// gather — or its own post-processing could read — has changed.
-    /// Semirings override this to compare only the vectors they
-    /// actually use.
-    #[inline]
-    fn state_changed(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        nxt_g: &[f32],
-        nxt_p: &[f32],
-    ) -> bool {
-        let c = nxt_x.len();
-        slice_bits_differ(&cur.x[base..base + c], nxt_x)
-            || slice_bits_differ(&cur.g[base..base + c], nxt_g)
-            || slice_bits_differ(&cur.p[base..base + c], nxt_p)
-    }
-
-    /// Lane-granular form of [`state_changed`](Self::state_changed): bit
-    /// `l` of the result is set iff lane `l` (row `base + l`) of any
-    /// vector this semiring maintains changed bit-wise. The worklist
-    /// engine walks only these lanes of the changed chunk's columns
-    /// ([`ActivationState::seed`]), so a changed chunk only activates
-    /// dependents that gather from its *changed rows*.
-    ///
-    /// Invariants (pinned by the lane-mask property suite):
-    /// `state_changed_mask != 0` ⟺ [`state_changed`](Self::state_changed),
-    /// and each bit equals a per-lane replay of `state_changed` on a
-    /// one-lane window.
-    ///
-    /// [`ActivationState::seed`]: crate::worklist::ActivationState::seed
-    #[inline]
-    fn state_changed_mask<const C: usize>(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        nxt_g: &[f32],
-        nxt_p: &[f32],
-    ) -> u32 {
-        lanes_ne_bits::<C>(&cur.x[base..], nxt_x)
-            | lanes_ne_bits::<C>(&cur.g[base..], nxt_g)
-            | lanes_ne_bits::<C>(&cur.p[base..], nxt_p)
-    }
-
     /// Final distances in permuted space (`∞` = unreachable).
     fn distances<'a>(state: &'a StateVecs, d: &'a [f32]) -> &'a [f32];
 
     /// Final parents in permuted space (1-based; 0 = none), if computed.
     fn parents(state: &StateVecs) -> Option<&[f32]>;
+}
+
+/// Carries a skipped chunk's state into the next iteration (Listing 7
+/// line 18: `store(&x_k[i*C], load(&x_{k-1}[i*C]))`): copies the chunk's
+/// lanes of the vectors `S` declares from `cur` into the next-state
+/// slices.
+#[inline]
+pub fn copy_forward<S: Semiring>(
+    cur: &StateVecs,
+    base: usize,
+    nxt_x: &mut [f32],
+    nxt_g: &mut [f32],
+    nxt_p: &mut [f32],
+) {
+    let c = nxt_x.len();
+    nxt_x.copy_from_slice(&cur.x[base..base + c]);
+    if S::USES_G {
+        nxt_g.copy_from_slice(&cur.g[base..base + c]);
+    }
+    if S::USES_P {
+        nxt_p.copy_from_slice(&cur.p[base..base + c]);
+    }
+}
+
+/// Establishes the worklist invariant once per run: copies the vectors
+/// `S` declares from `src` into `dst`, so that outside the worklist the
+/// next-state buffer already equals the current state. Undeclared
+/// vectors stay untouched — both buffers start zeroed, so they are
+/// already equal.
+pub fn clone_state<S: Semiring>(src: &StateVecs, dst: &mut StateVecs) {
+    dst.x.copy_from_slice(&src.x);
+    if S::USES_G {
+        dst.g.copy_from_slice(&src.g);
+    }
+    if S::USES_P {
+        dst.p.copy_from_slice(&src.p);
+    }
+}
+
+/// Exact output-change test: whether a chunk's freshly written
+/// next-state differs **bit-wise** from the previous state over the
+/// vectors `S` declares. The scalar reference of
+/// [`state_changed_mask`], which is what the sweeps record.
+///
+/// This is deliberately stricter than the `post_chunk` return value
+/// (which reports "the frontier advanced here" and may be `false` while
+/// e.g. a boolean frontier bit clears): a chunk may safely drop off the
+/// worklist only when *nothing* another chunk could gather — or its own
+/// post-processing could read — has changed.
+pub fn state_changed<S: Semiring>(
+    cur: &StateVecs,
+    base: usize,
+    nxt_x: &[f32],
+    nxt_g: &[f32],
+    nxt_p: &[f32],
+) -> bool {
+    let c = nxt_x.len();
+    slice_bits_differ(&cur.x[base..base + c], nxt_x)
+        || (S::USES_G && slice_bits_differ(&cur.g[base..base + c], nxt_g))
+        || (S::USES_P && slice_bits_differ(&cur.p[base..base + c], nxt_p))
+}
+
+/// Lane-granular form of [`state_changed`]: bit `l` of the result is set
+/// iff lane `l` (row `base + l`) of any vector `S` declares changed
+/// bit-wise. Every recording sweep stores this mask per chunk; the
+/// worklist engine walks only these lanes of the changed chunk's columns
+/// ([`ActivationState::seed`]), so a changed chunk only activates
+/// dependents that gather from its *changed rows*.
+///
+/// Invariants (pinned by the lane-mask property suite):
+/// `state_changed_mask != 0` ⟺ [`state_changed`], and each bit equals a
+/// per-lane replay of `state_changed` on a one-lane window.
+///
+/// [`ActivationState::seed`]: crate::worklist::ActivationState::seed
+#[inline]
+pub fn state_changed_mask<S: Semiring, const C: usize>(
+    cur: &StateVecs,
+    base: usize,
+    nxt_x: &[f32],
+    nxt_g: &[f32],
+    nxt_p: &[f32],
+) -> u32 {
+    let mut mask = lanes_ne_bits::<C>(&cur.x[base..], nxt_x);
+    if S::USES_G {
+        mask |= lanes_ne_bits::<C>(&cur.g[base..], nxt_g);
+    }
+    if S::USES_P {
+        mask |= lanes_ne_bits::<C>(&cur.p[base..], nxt_p);
+    }
+    mask
 }
 
 /// Tropical semiring `T = (ℝ ∪ {∞}, min, +, ∞, 0)` (§III-A1): `x` holds
@@ -205,7 +223,8 @@ impl Semiring for TropicalSemiring {
     const NAME: &'static str = "tropical";
     const PAD: f32 = f32::INFINITY;
     const OP1_IDENTITY: f32 = f32::INFINITY;
-    const COMPUTES_PARENTS: bool = false;
+    const USES_G: bool = false;
+    const USES_P: bool = false;
 
     #[inline(always)]
     fn op1<const C: usize>(a: SimdF32<C>, b: SimdF32<C>) -> SimdF32<C> {
@@ -246,44 +265,6 @@ impl Semiring for TropicalSemiring {
         cur.x[rows].iter().all(|&x| x != f32::INFINITY)
     }
 
-    #[inline]
-    fn copy_forward(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &mut [f32],
-        _nxt_g: &mut [f32],
-        _nxt_p: &mut [f32],
-    ) {
-        let c = nxt_x.len();
-        nxt_x.copy_from_slice(&cur.x[base..base + c]);
-    }
-
-    #[inline]
-    fn state_changed(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        _nxt_g: &[f32],
-        _nxt_p: &[f32],
-    ) -> bool {
-        slice_bits_differ(&cur.x[base..base + nxt_x.len()], nxt_x)
-    }
-
-    #[inline]
-    fn state_changed_mask<const C: usize>(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        _nxt_g: &[f32],
-        _nxt_p: &[f32],
-    ) -> u32 {
-        lanes_ne_bits::<C>(&cur.x[base..], nxt_x)
-    }
-
-    fn clone_state(src: &StateVecs, dst: &mut StateVecs) {
-        dst.x.copy_from_slice(&src.x);
-    }
-
     fn distances<'a>(state: &'a StateVecs, _d: &'a [f32]) -> &'a [f32] {
         &state.x
     }
@@ -302,7 +283,8 @@ impl Semiring for BooleanSemiring {
     const NAME: &'static str = "boolean";
     const PAD: f32 = 0.0;
     const OP1_IDENTITY: f32 = 0.0;
-    const COMPUTES_PARENTS: bool = false;
+    const USES_G: bool = true;
+    const USES_P: bool = false;
 
     #[inline(always)]
     fn op1<const C: usize>(a: SimdF32<C>, b: SimdF32<C>) -> SimdF32<C> {
@@ -355,48 +337,6 @@ impl Semiring for BooleanSemiring {
         cur.g[rows].iter().all(|&g| g == 0.0)
     }
 
-    #[inline]
-    fn copy_forward(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &mut [f32],
-        nxt_g: &mut [f32],
-        _nxt_p: &mut [f32],
-    ) {
-        let c = nxt_x.len();
-        nxt_x.copy_from_slice(&cur.x[base..base + c]);
-        nxt_g.copy_from_slice(&cur.g[base..base + c]);
-    }
-
-    #[inline]
-    fn state_changed(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        nxt_g: &[f32],
-        _nxt_p: &[f32],
-    ) -> bool {
-        let c = nxt_x.len();
-        slice_bits_differ(&cur.x[base..base + c], nxt_x)
-            || slice_bits_differ(&cur.g[base..base + c], nxt_g)
-    }
-
-    #[inline]
-    fn state_changed_mask<const C: usize>(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        nxt_g: &[f32],
-        _nxt_p: &[f32],
-    ) -> u32 {
-        lanes_ne_bits::<C>(&cur.x[base..], nxt_x) | lanes_ne_bits::<C>(&cur.g[base..], nxt_g)
-    }
-
-    fn clone_state(src: &StateVecs, dst: &mut StateVecs) {
-        dst.x.copy_from_slice(&src.x);
-        dst.g.copy_from_slice(&src.g);
-    }
-
     fn distances<'a>(_state: &'a StateVecs, d: &'a [f32]) -> &'a [f32] {
         d
     }
@@ -419,7 +359,8 @@ impl Semiring for RealSemiring {
     const NAME: &'static str = "real";
     const PAD: f32 = 0.0;
     const OP1_IDENTITY: f32 = 0.0;
-    const COMPUTES_PARENTS: bool = false;
+    const USES_G: bool = true;
+    const USES_P: bool = false;
 
     #[inline(always)]
     fn op1<const C: usize>(a: SimdF32<C>, b: SimdF32<C>) -> SimdF32<C> {
@@ -468,48 +409,6 @@ impl Semiring for RealSemiring {
         cur.g[rows].iter().all(|&g| g == 0.0)
     }
 
-    #[inline]
-    fn copy_forward(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &mut [f32],
-        nxt_g: &mut [f32],
-        _nxt_p: &mut [f32],
-    ) {
-        let c = nxt_x.len();
-        nxt_x.copy_from_slice(&cur.x[base..base + c]);
-        nxt_g.copy_from_slice(&cur.g[base..base + c]);
-    }
-
-    #[inline]
-    fn state_changed(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        nxt_g: &[f32],
-        _nxt_p: &[f32],
-    ) -> bool {
-        let c = nxt_x.len();
-        slice_bits_differ(&cur.x[base..base + c], nxt_x)
-            || slice_bits_differ(&cur.g[base..base + c], nxt_g)
-    }
-
-    #[inline]
-    fn state_changed_mask<const C: usize>(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        nxt_g: &[f32],
-        _nxt_p: &[f32],
-    ) -> u32 {
-        lanes_ne_bits::<C>(&cur.x[base..], nxt_x) | lanes_ne_bits::<C>(&cur.g[base..], nxt_g)
-    }
-
-    fn clone_state(src: &StateVecs, dst: &mut StateVecs) {
-        dst.x.copy_from_slice(&src.x);
-        dst.g.copy_from_slice(&src.g);
-    }
-
     fn distances<'a>(_state: &'a StateVecs, d: &'a [f32]) -> &'a [f32] {
         d
     }
@@ -533,7 +432,8 @@ impl Semiring for SelMaxSemiring {
     /// true identity −∞ is unnecessary and 0 matches the paper's unused
     /// `x` lanes).
     const OP1_IDENTITY: f32 = 0.0;
-    const COMPUTES_PARENTS: bool = true;
+    const USES_G: bool = false;
+    const USES_P: bool = true;
 
     #[inline(always)]
     fn op1<const C: usize>(a: SimdF32<C>, b: SimdF32<C>) -> SimdF32<C> {
@@ -589,48 +489,6 @@ impl Semiring for SelMaxSemiring {
     fn should_skip(cur: &StateVecs, rows: Range<usize>) -> bool {
         // Listing 7: go on if any parent entry is still 0.
         cur.p[rows].iter().all(|&p| p != 0.0)
-    }
-
-    #[inline]
-    fn copy_forward(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &mut [f32],
-        _nxt_g: &mut [f32],
-        nxt_p: &mut [f32],
-    ) {
-        let c = nxt_x.len();
-        nxt_x.copy_from_slice(&cur.x[base..base + c]);
-        nxt_p.copy_from_slice(&cur.p[base..base + c]);
-    }
-
-    #[inline]
-    fn state_changed(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        _nxt_g: &[f32],
-        nxt_p: &[f32],
-    ) -> bool {
-        let c = nxt_x.len();
-        slice_bits_differ(&cur.x[base..base + c], nxt_x)
-            || slice_bits_differ(&cur.p[base..base + c], nxt_p)
-    }
-
-    #[inline]
-    fn state_changed_mask<const C: usize>(
-        cur: &StateVecs,
-        base: usize,
-        nxt_x: &[f32],
-        _nxt_g: &[f32],
-        nxt_p: &[f32],
-    ) -> u32 {
-        lanes_ne_bits::<C>(&cur.x[base..], nxt_x) | lanes_ne_bits::<C>(&cur.p[base..], nxt_p)
-    }
-
-    fn clone_state(src: &StateVecs, dst: &mut StateVecs) {
-        dst.x.copy_from_slice(&src.x);
-        dst.p.copy_from_slice(&src.p);
     }
 
     fn distances<'a>(_state: &'a StateVecs, d: &'a [f32]) -> &'a [f32] {
@@ -804,19 +662,19 @@ mod tests {
         let advanced =
             BooleanSemiring::post_chunk(acc, &cur, 0, &mut nx, &mut ng, &mut np, &mut d, 2.0);
         assert!(!advanced, "no new frontier");
-        assert!(BooleanSemiring::state_changed(&cur, 0, &nx, &ng, &np), "x cleared 1 -> 0");
+        assert!(state_changed::<BooleanSemiring>(&cur, 0, &nx, &ng, &np), "x cleared 1 -> 0");
         // Once settled (all-zero frontier in, all-zero out), no change.
         cur.x.fill(0.0);
         let advanced =
             BooleanSemiring::post_chunk(acc, &cur, 0, &mut nx, &mut ng, &mut np, &mut d, 3.0);
         assert!(!advanced);
-        assert!(!BooleanSemiring::state_changed(&cur, 0, &nx, &ng, &np));
+        assert!(!state_changed::<BooleanSemiring>(&cur, 0, &nx, &ng, &np));
         // Tropical ignores g/p garbage: only x counts.
         let mut tcur = StateVecs::new(C);
         tcur.x = vec![1.0, 2.0, 3.0, 4.0];
         tcur.g = vec![9.0; C];
-        assert!(!TropicalSemiring::state_changed(&tcur, 0, &tcur.x.clone(), &nx, &np));
-        assert!(TropicalSemiring::state_changed(&tcur, 0, &[1.0, 2.0, 3.0, 5.0], &nx, &np));
+        assert!(!state_changed::<TropicalSemiring>(&tcur, 0, &tcur.x.clone(), &nx, &np));
+        assert!(state_changed::<TropicalSemiring>(&tcur, 0, &[1.0, 2.0, 3.0, 5.0], &nx, &np));
     }
 
     #[test]

@@ -39,12 +39,12 @@
 //! assert_eq!(out.dist, vec![1, 0, 2, 2, 2, 2, 2, 2, 2]);
 //! ```
 
-use slimsell_simd::{SimdF32, SimdI32};
+use slimsell_simd::SimdF32;
 
-use crate::bfs::BfsOptions;
+use crate::bfs::{mv_fold, restore_masked_lanes, BfsOptions};
 use crate::counters::IterStats;
 use crate::matrix::ChunkMatrix;
-use crate::semiring::{Semiring, StateVecs};
+use crate::semiring::{copy_forward, state_changed_mask, Semiring, StateVecs};
 use crate::tiling::{ChunkSet, ChunkTiling};
 use crate::worklist::full_lane_mask;
 
@@ -78,7 +78,11 @@ fn phase1<M, S, const C: usize>(
     task_tiling.for_each(slabs, |slab| {
         for (off, buf) in slab.data.chunks_mut(C).enumerate() {
             let (i, j0, j1) = tasks[slab.c0 + off];
-            tile_mv::<M, S, C>(matrix, &cur.x, i, j0, j1).store(buf);
+            // Each tile starts from the `op1` identity; the chunk's
+            // previous values are merged in phase 2.
+            let index = matrix.structure().cs()[i] + j0 * C;
+            let acc = SimdF32::<C>::splat(S::OP1_IDENTITY);
+            mv_fold!(matrix, S, C, &cur.x, index, j1 - j0, acc).store(buf);
         }
     });
 }
@@ -109,7 +113,7 @@ where
     let (nx, ng, np, dd) = out;
     let base = i * C;
     if skipped {
-        S::copy_forward(cur, base, nx, ng, np);
+        copy_forward::<S>(cur, base, nx, ng, np);
         return (false, 0);
     }
     let mut acc = SimdF32::<C>::load(&cur.x[base..]);
@@ -117,14 +121,7 @@ where
         acc = S::op1(acc, SimdF32::<C>::load(&partials[t * C..]));
     }
     if allowed != full_lane_mask(C) {
-        let mut lanes = [0.0f32; C];
-        acc.store(&mut lanes);
-        for (l, slot) in lanes.iter_mut().enumerate() {
-            if allowed & (1 << l) == 0 {
-                *slot = cur.x[base + l];
-            }
-        }
-        acc = SimdF32::load(&lanes);
+        acc = restore_masked_lanes(acc, &cur.x[base..], allowed);
     }
     (S::post_chunk(acc, cur, base, nx, ng, np, dd, depth), cl_i)
 }
@@ -211,7 +208,7 @@ where
                 return (adv, steps, 0);
             }
             if let Some(f) = flag {
-                *f = S::state_changed_mask::<C>(cur, i * C, nx, ng, np);
+                *f = state_changed_mask::<S, C>(cur, i * C, nx, ng, np);
             }
             (adv, steps, s.chunk_arcs()[i])
         },
@@ -224,34 +221,6 @@ where
         changed,
         ..IterStats::visited(&set, s.num_chunks(), skipped)
     }
-}
-
-/// MV over one vertical tile of a chunk, starting from the `op1`
-/// identity (the chunk's previous values are merged in phase 2).
-#[inline]
-fn tile_mv<M, S, const C: usize>(
-    matrix: &M,
-    x: &[f32],
-    i: usize,
-    j0: usize,
-    j1: usize,
-) -> SimdF32<C>
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    let s = matrix.structure();
-    let col = s.col();
-    let mut acc = SimdF32::<C>::splat(S::OP1_IDENTITY);
-    let mut index = s.cs()[i] + j0 * C;
-    for _ in j0..j1 {
-        let cols = SimdI32::<C>::load(&col[index..]);
-        let vals = matrix.vals(index, cols, S::PAD);
-        let rhs = SimdF32::gather_or(x, cols, 0.0);
-        acc = S::combine(acc, vals, rhs);
-        index += C;
-    }
-    acc
 }
 
 /// Maximum number of column steps any single task executes — the measure

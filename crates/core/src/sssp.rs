@@ -182,7 +182,7 @@ pub fn sssp_with<const C: usize>(
         config: opts.config,
         mask: opts.mask.clone(),
     };
-    let (cur, _, stats) = run_state::<_, TropicalSemiring, C>(m, root, &bfs);
+    let (cur, _, stats) = run_state::<_, TropicalSemiring, C>(m, root, &bfs, false, |_, _, _| {});
     let dist = m.structure().perm().unpermute(&cur.x);
     SsspOutput { dist, iterations: stats.num_iterations(), stats }
 }

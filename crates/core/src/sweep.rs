@@ -72,15 +72,15 @@
 //! buffer already equals the current state bit-for-bit. Adaptive full
 //! sweeps therefore *record*, exactly like worklist sweeps: each
 //! chunk's freshly written output is compared bit-wise against its
-//! previous state
-//! ([`Semiring::state_changed`](crate::Semiring::state_changed)), and
+//! previous state, lane by lane
+//! ([`state_changed_mask`](crate::semiring::state_changed_mask)), and
 //! [`ChunkSet::harvest`] turns the changed chunks into the seed set. A
-//! chunk whose flag is clear
-//! wrote back exactly its previous state, so after the buffer swap it
-//! satisfies the invariant; a chunk whose flag is set is a seed, hence
-//! on the next worklist (self edge) and rewritten before anyone reads
-//! its stale double-buffered slot. Outputs are bit-identical to both
-//! pure modes at any thread count — asserted by
+//! chunk whose mask is clear wrote back exactly its previous state, so
+//! after the buffer swap it satisfies the invariant; a chunk whose mask
+//! is set is a seed, hence on the next worklist (self edge) and
+//! rewritten before anyone reads its stale double-buffered slot.
+//! Outputs are bit-identical to both pure modes at any thread count —
+//! asserted by
 //! `tests/parallel_determinism.rs` and proven on arbitrary graphs by
 //! `adaptive_equals_one_thread_full_sweep_oracle` in
 //! `tests/proptest_invariants.rs`.

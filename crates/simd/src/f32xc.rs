@@ -183,9 +183,9 @@ impl<const C: usize> SimdF32<C> {
     /// `self` and `other` have different IEEE-754 bit patterns (so `-0.0`
     /// differs from `+0.0`, matching `to_bits()` comparison). This is the
     /// lane-granular form of chunk change detection
-    /// (`Semiring::state_changed_mask`): with `C <= 32` the mask fits a
-    /// `u32`, the same shape as `ChunkDepGraph`'s per-edge source-lane
-    /// masks that filter worklist activation.
+    /// (`slimsell_core::semiring::state_changed_mask`): with `C <= 32`
+    /// the mask fits a `u32`, the same shape as `ChunkDepGraph`'s
+    /// per-edge source-lane masks that filter worklist activation.
     #[inline(always)]
     pub fn ne_bits(self, other: Self) -> u32 {
         let mut m = 0u32;

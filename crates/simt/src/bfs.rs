@@ -9,7 +9,7 @@
 
 use slimsell_core::chunk_mv;
 use slimsell_core::matrix::ChunkMatrix;
-use slimsell_core::semiring::{Semiring, StateVecs};
+use slimsell_core::semiring::{copy_forward, Semiring, StateVecs};
 use slimsell_graph::{VertexId, UNREACHABLE};
 
 use crate::cost::CostModel;
@@ -137,7 +137,7 @@ where
             let base = i * C;
             if opts.slimwork && S::should_skip(&cur, base..base + C) {
                 let (nx, ng, np_) = three_chunks(&mut nxt, base, C);
-                S::copy_forward(&cur, base, nx, ng, np_);
+                copy_forward::<S>(&cur, base, nx, ng, np_);
                 durations.push(cost.skipped_chunk());
                 skipped += 1;
                 continue;

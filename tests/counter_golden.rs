@@ -28,7 +28,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/bfs-tropical/full", 0xc4196bf86fb13fbb),
     ("kron10/bfs-selmax/full", 0xc4196bf86fb13fbb),
     ("kron10/bfs-boolean/full", 0xc4196bf86fb13fbb),
+    ("kron10/bfs-real/full", 0xc4196bf86fb13fbb),
     ("kron10/slimchunk-tropical/full", 0xc4196bf86fb13fbb),
+    ("kron10/slimchunk-boolean/full", 0xc4196bf86fb13fbb),
+    ("kron10/slimchunk-selmax/full", 0xc4196bf86fb13fbb),
     ("kron10/sssp/full", 0x28bd7c4a65e9bb08),
     ("kron10/msbfs-8/full", 0x4f0702fa0654e34b),
     ("kron10/pagerank/full", 0x3306f767e693f044),
@@ -38,7 +41,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/bfs-tropical/worklist", 0xb3db59831efc5f39),
     ("kron10/bfs-selmax/worklist", 0xb3db59831efc5f39),
     ("kron10/bfs-boolean/worklist", 0xb3d126f954bcba2a),
+    ("kron10/bfs-real/worklist", 0xb3d126f954bcba2a),
     ("kron10/slimchunk-tropical/worklist", 0xb3db59831efc5f39),
+    ("kron10/slimchunk-boolean/worklist", 0xb3d126f954bcba2a),
+    ("kron10/slimchunk-selmax/worklist", 0xb3db59831efc5f39),
     ("kron10/sssp/worklist", 0x65e3ae9845456927),
     ("kron10/msbfs-8/worklist", 0xdec7e72c36c6c6ea),
     ("kron10/pagerank/worklist", 0xa39f60a41f35f7d3),
@@ -48,7 +54,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/bfs-tropical/adaptive", 0xcb6b396443811545),
     ("kron10/bfs-selmax/adaptive", 0xcb6b396443811545),
     ("kron10/bfs-boolean/adaptive", 0x406ad2081e426301),
+    ("kron10/bfs-real/adaptive", 0x406ad2081e426301),
     ("kron10/slimchunk-tropical/adaptive", 0xcb6b396443811545),
+    ("kron10/slimchunk-boolean/adaptive", 0x406ad2081e426301),
+    ("kron10/slimchunk-selmax/adaptive", 0xcb6b396443811545),
     ("kron10/sssp/adaptive", 0x068730ad96dcf330),
     ("kron10/msbfs-8/adaptive", 0x6700d900ab070f78),
     ("kron10/pagerank/adaptive", 0xfcfa137014087917),
@@ -58,7 +67,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/bfs-tropical/full", 0xb068cee66ad41728),
     ("road11/bfs-selmax/full", 0xb068cee66ad41728),
     ("road11/bfs-boolean/full", 0xb068cee66ad41728),
+    ("road11/bfs-real/full", 0xb068cee66ad41728),
     ("road11/slimchunk-tropical/full", 0xb068cee66ad41728),
+    ("road11/slimchunk-boolean/full", 0xb068cee66ad41728),
+    ("road11/slimchunk-selmax/full", 0xb068cee66ad41728),
     ("road11/sssp/full", 0x24e86167ef26969c),
     ("road11/msbfs-8/full", 0xebf61ce3d36cff7c),
     ("road11/pagerank/full", 0xc25bafc79152ae65),
@@ -68,7 +80,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/bfs-tropical/worklist", 0x3520d2339b4bbf4d),
     ("road11/bfs-selmax/worklist", 0x3520d2339b4bbf4d),
     ("road11/bfs-boolean/worklist", 0x5ea48b6fbfa1d417),
+    ("road11/bfs-real/worklist", 0x5ea48b6fbfa1d417),
     ("road11/slimchunk-tropical/worklist", 0x3520d2339b4bbf4d),
+    ("road11/slimchunk-boolean/worklist", 0x5ea48b6fbfa1d417),
+    ("road11/slimchunk-selmax/worklist", 0x3520d2339b4bbf4d),
     ("road11/sssp/worklist", 0x08d7412c1b88e63d),
     ("road11/msbfs-8/worklist", 0x04f1aa273fe734bd),
     ("road11/pagerank/worklist", 0x4a63ef3f826aca8e),
@@ -78,7 +93,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/bfs-tropical/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-selmax/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-boolean/adaptive", 0x63ddd7596ae99fb3),
+    ("road11/bfs-real/adaptive", 0x63ddd7596ae99fb3),
     ("road11/slimchunk-tropical/adaptive", 0x3520d2339b4bbf4d),
+    ("road11/slimchunk-boolean/adaptive", 0x63ddd7596ae99fb3),
+    ("road11/slimchunk-selmax/adaptive", 0x3520d2339b4bbf4d),
     ("road11/sssp/adaptive", 0x3985192a15c5472e),
     ("road11/msbfs-8/adaptive", 0x8da0b5b4a4a8cf4a),
     ("road11/pagerank/adaptive", 0xa104022ac2bad345),
@@ -146,19 +164,18 @@ fn traces(graph: &str, g: &CsrGraph) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for sweep in [SweepMode::Full, SweepMode::Worklist, SweepMode::Adaptive] {
         let bfs = BfsOptions::default().config(config(sweep));
+        let tiled = BfsOptions { slimchunk: Some(4), ..bfs.clone() };
         let runs: Vec<(&str, RunStats)> = vec![
             ("bfs-tropical", BfsEngine::run::<_, TropicalSemiring, C>(&m, root, &bfs).stats),
             ("bfs-selmax", BfsEngine::run::<_, SelMaxSemiring, C>(&m, root, &bfs).stats),
             ("bfs-boolean", BfsEngine::run::<_, BooleanSemiring, C>(&m, root, &bfs).stats),
+            ("bfs-real", BfsEngine::run::<_, RealSemiring, C>(&m, root, &bfs).stats),
             (
                 "slimchunk-tropical",
-                BfsEngine::run::<_, TropicalSemiring, C>(
-                    &m,
-                    root,
-                    &BfsOptions { slimchunk: Some(4), ..bfs.clone() },
-                )
-                .stats,
+                BfsEngine::run::<_, TropicalSemiring, C>(&m, root, &tiled).stats,
             ),
+            ("slimchunk-boolean", BfsEngine::run::<_, BooleanSemiring, C>(&m, root, &tiled).stats),
+            ("slimchunk-selmax", BfsEngine::run::<_, SelMaxSemiring, C>(&m, root, &tiled).stats),
             ("sssp", sssp_with(&w, root, &SsspOptions::default().config(config(sweep))).stats),
             (
                 "msbfs-8",

@@ -10,8 +10,11 @@
 //! high-diameter graph, where partial-chunk frontiers dominate.
 
 use slimsell::prelude::*;
+use slimsell::simd::SimdF32;
 use slimsell_bench::dispatch::{prepare, RepKind, SemiringKind};
-use slimsell_core::semiring::StateVecs;
+use slimsell_core::semiring::{
+    clone_state, copy_forward, state_changed, state_changed_mask, StateVecs,
+};
 use slimsell_gen::geometric::road_network;
 use slimsell_gen::rng::Xoshiro256pp;
 
@@ -86,11 +89,11 @@ fn change_mask_equals_per_lane_replay() {
                 ng[l] = if rng.next_u32().is_multiple_of(2) { cur.g[base + l] } else { pick(rng) };
                 np[l] = if rng.next_u32().is_multiple_of(2) { cur.p[base + l] } else { pick(rng) };
             }
-            let mask = S::state_changed_mask::<C>(&cur, base, &nx, &ng, &np);
+            let mask = state_changed_mask::<S, C>(&cur, base, &nx, &ng, &np);
             assert_eq!(mask & !slimsell_core::worklist::full_lane_mask(C), 0, "stray bits");
             for l in 0..C {
                 let lane =
-                    S::state_changed(&cur, base + l, &nx[l..l + 1], &ng[l..l + 1], &np[l..l + 1]);
+                    state_changed::<S>(&cur, base + l, &nx[l..l + 1], &ng[l..l + 1], &np[l..l + 1]);
                 assert_eq!(
                     mask >> l & 1 == 1,
                     lane,
@@ -98,10 +101,111 @@ fn change_mask_equals_per_lane_replay() {
                     S::NAME
                 );
             }
-            assert_eq!(mask != 0, S::state_changed(&cur, base, &nx, &ng, &np), "{}", S::NAME);
+            assert_eq!(mask != 0, state_changed::<S>(&cur, base, &nx, &ng, &np), "{}", S::NAME);
         }
     }
     let mut rng = Xoshiro256pp::seed_from_u64(0xC0FFEE);
+    macro_rules! all_c {
+        ($sem:ty) => {
+            check::<$sem, 4>(&mut rng);
+            check::<$sem, 8>(&mut rng);
+            check::<$sem, 16>(&mut rng);
+            check::<$sem, 32>(&mut rng);
+        };
+    }
+    all_c!(TropicalSemiring);
+    all_c!(BooleanSemiring);
+    all_c!(RealSemiring);
+    all_c!(SelMaxSemiring);
+}
+
+/// Each semiring's `USES_G`/`USES_P` declaration is true: `init`,
+/// `post_chunk` and the engine's `copy_forward`/`clone_state` leave a
+/// NaN sentinel in every undeclared vector bit-for-bit, `post_chunk`'s
+/// outputs do not depend on what the undeclared vectors hold, and a
+/// change confined to undeclared vectors sets no bit of
+/// `state_changed_mask`.
+#[test]
+fn semiring_state_declarations_hold() {
+    fn check<S: Semiring, const C: usize>(rng: &mut Xoshiro256pp) {
+        const SENTINEL: u32 = 0x7fc5_a5a5;
+        const VALS: [f32; 5] = [0.0, 1.0, 2.5, 7.0, f32::INFINITY];
+        let nan = f32::from_bits(SENTINEL);
+        let fill_undeclared = |st: &mut StateVecs, v: f32| {
+            if !S::USES_G {
+                st.g.fill(v);
+            }
+            if !S::USES_P {
+                st.p.fill(v);
+            }
+        };
+        let assert_untouched = |st: &StateVecs, hook: &str| {
+            for (name, used, v) in [("g", S::USES_G, &st.g), ("p", S::USES_P, &st.p)] {
+                assert!(
+                    used || v.iter().all(|x| x.to_bits() == SENTINEL),
+                    "{} C={C}: {hook} wrote undeclared {name}",
+                    S::NAME
+                );
+            }
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let np = 2 * C;
+        for _ in 0..50 {
+            let n = np - rng.next_u32() as usize % C;
+            let root = rng.next_u32() as usize % n;
+            let mut cur = StateVecs::new(np);
+            fill_undeclared(&mut cur, nan);
+            let mut d = vec![0.0f32; np];
+            S::init(&mut cur, &mut d, n, root);
+            assert_untouched(&cur, "init");
+
+            let base = if rng.next_u32().is_multiple_of(2) { 0 } else { C };
+            let acc = SimdF32::<C>::from_fn(|_| VALS[rng.next_u32() as usize % VALS.len()]);
+            let post = |cur: &StateVecs, rest: f32| {
+                let mut out = StateVecs::new(C);
+                fill_undeclared(&mut out, rest);
+                let mut dd = d[base..base + C].to_vec();
+                let adv =
+                    S::post_chunk(acc, cur, base, &mut out.x, &mut out.g, &mut out.p, &mut dd, 3.0);
+                (out, dd, adv)
+            };
+            let (out, dd, adv) = post(&cur, nan);
+            assert_untouched(&out, "post_chunk");
+            let mut zeroed = cur.clone();
+            fill_undeclared(&mut zeroed, 0.0);
+            let (out0, dd0, adv0) = post(&zeroed, nan);
+            assert_eq!(
+                (bits(&out.x), bits(&out.g), bits(&out.p), bits(&dd), adv),
+                (bits(&out0.x), bits(&out0.g), bits(&out0.p), bits(&dd0), adv0),
+                "{} C={C}: post_chunk read an undeclared vector",
+                S::NAME
+            );
+
+            let mut fwd = StateVecs::new(C);
+            fill_undeclared(&mut fwd, nan);
+            copy_forward::<S>(&cur, base, &mut fwd.x, &mut fwd.g, &mut fwd.p);
+            assert_untouched(&fwd, "copy_forward");
+            let mut dst = StateVecs::new(np);
+            fill_undeclared(&mut dst, nan);
+            clone_state::<S>(&cur, &mut dst);
+            assert_untouched(&dst, "clone_state");
+
+            // Declared lanes equal, undeclared lanes all different.
+            let same = |used: bool, v: &[f32]| {
+                if used {
+                    v[base..base + C].to_vec()
+                } else {
+                    vec![1.0; C]
+                }
+            };
+            let (nx, ng, np_) =
+                (same(true, &cur.x), same(S::USES_G, &cur.g), same(S::USES_P, &cur.p));
+            let mask = state_changed_mask::<S, C>(&cur, base, &nx, &ng, &np_);
+            assert_eq!(mask, 0, "{} C={C}: undeclared change set mask {mask:#x}", S::NAME);
+            assert!(!state_changed::<S>(&cur, base, &nx, &ng, &np_), "{} C={C}", S::NAME);
+        }
+    }
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5EED);
     macro_rules! all_c {
         ($sem:ty) => {
             check::<$sem, 4>(&mut rng);
