@@ -347,12 +347,13 @@ where
 /// semiring `$S`, starting at cell `$index` of chunk-major `col`/`vals`,
 /// into the accumulator `$acc` (`acc = op1(acc, op2(vals, rhs))` with
 /// `rhs` gathered from `$x`), and evaluates to the result. [`chunk_mv`]
-/// starts from the chunk's previous values, SlimChunk tiles from the
-/// `op1` identity, PageRank from zero. A macro, not an
-/// `#[inline(always)]` function, because the expanded loop compiles
-/// exactly as if written at each call site: through the inlined
-/// function, `chunk_mv` compiled differently and weighted SSSP on
-/// Kronecker 2^16 ran ~8% slower (2-CPU x86-64 host, SSE2 build).
+/// starts from the chunk's previous values; [`fold_from`] takes the
+/// start accumulator of SlimChunk tiles (the `op1` identity) and
+/// PageRank (zero). A macro, not an `#[inline(always)]` function,
+/// because the expanded loop compiles exactly as if written at each
+/// call site: through the inlined function, `chunk_mv` compiled
+/// differently and weighted SSSP on Kronecker 2^16 ran ~8% slower
+/// (2-CPU x86-64 host, SSE2 build).
 macro_rules! mv_fold {
     ($matrix:expr, $S:ty, $C:ident, $x:expr, $index:expr, $steps:expr, $acc:expr) => {{
         let matrix = $matrix;
@@ -369,7 +370,25 @@ macro_rules! mv_fold {
         acc
     }};
 }
-pub(crate) use mv_fold;
+
+/// [`mv_fold!`] from a caller-given start accumulator, behind an
+/// `#[inline]` function boundary: expanded directly inside PageRank's
+/// sweep closure, LLVM compiled the real-semiring lane adds as scalar
+/// `addss` instead of packed `addps`.
+#[inline]
+pub(crate) fn fold_from<M, S, const C: usize>(
+    matrix: &M,
+    x: &[f32],
+    index: usize,
+    steps: u32,
+    acc: SimdF32<C>,
+) -> SimdF32<C>
+where
+    M: ChunkMatrix<C>,
+    S: Semiring,
+{
+    mv_fold!(matrix, S, C, x, index, steps, acc)
+}
 
 /// The per-chunk MV kernel (Listing 5 lines 3–21 / Listing 6): starts the
 /// accumulator from the chunk's previous values, then folds `cl[i]`

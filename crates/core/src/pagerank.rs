@@ -52,7 +52,7 @@ use std::time::Instant;
 use slimsell_graph::VertexId;
 use slimsell_simd::SimdF32;
 
-use crate::bfs::mv_fold;
+use crate::bfs::fold_from;
 use crate::counters::{IterStats, RunStats};
 use crate::matrix::ChunkMatrix;
 use crate::semiring::RealSemiring;
@@ -278,8 +278,9 @@ where
             |_, i, [slot], _| {
                 // Unlike the BFS kernel, PageRank must not fold the old
                 // value in: each chunk of `A ⊗_R y` starts from zero.
-                let acc = SimdF32::<C>::zero();
-                mv_fold!(matrix, RealSemiring, C, y_ref, s.cs()[i], s.cl()[i], acc).store(slot);
+                let acc = SimdF32::zero();
+                fold_from::<M, RealSemiring, C>(matrix, y_ref, s.cs()[i], s.cl()[i], acc)
+                    .store(slot);
                 s.cl()[i] as u64
             },
             |a, b| a + b,

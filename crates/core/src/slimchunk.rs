@@ -41,7 +41,7 @@
 
 use slimsell_simd::SimdF32;
 
-use crate::bfs::{mv_fold, restore_masked_lanes, BfsOptions};
+use crate::bfs::{fold_from, restore_masked_lanes, BfsOptions};
 use crate::counters::IterStats;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{copy_forward, state_changed_mask, Semiring, StateVecs};
@@ -81,8 +81,8 @@ fn phase1<M, S, const C: usize>(
             // Each tile starts from the `op1` identity; the chunk's
             // previous values are merged in phase 2.
             let index = matrix.structure().cs()[i] + j0 * C;
-            let acc = SimdF32::<C>::splat(S::OP1_IDENTITY);
-            mv_fold!(matrix, S, C, &cur.x, index, j1 - j0, acc).store(buf);
+            let acc = SimdF32::splat(S::OP1_IDENTITY);
+            fold_from::<M, S, C>(matrix, &cur.x, index, (j1 - j0) as u32, acc).store(buf);
         }
     });
 }
