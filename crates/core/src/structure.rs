@@ -52,8 +52,9 @@ impl<const C: usize> SellStructure<C> {
     ///
     /// # Panics
     /// Panics if `C` is not one of [`slimsell_simd::SUPPORTED_LANES`]
-    /// (4, 8, 16 or 32: every lane mask is a `u32`) or the graph is
-    /// empty.
+    /// (4, 8, 16 or 32: every lane mask is a `u32`), the graph is
+    /// empty, or its rows padded to whole chunks exceed `i32::MAX`
+    /// (column ids are `i32`).
     pub fn build(g: &CsrGraph, sigma: usize) -> Self {
         Self::build_with_weights(g, sigma, None).0
     }
@@ -81,6 +82,9 @@ impl<const C: usize> SellStructure<C> {
         );
         let n = g.num_vertices();
         assert!(n > 0, "cannot build a Sell structure for an empty graph");
+        let n_padded = padded_rows(n, C).unwrap_or_else(|| {
+            panic!("{n} vertices pad past the i32 column-id limit of {} rows", i32::MAX)
+        });
         let sigma = sigma.clamp(1, n);
 
         // σ-scoped sort: descending degree inside windows of σ original
@@ -94,8 +98,7 @@ impl<const C: usize> SellStructure<C> {
         let perm = Permutation::from_new_to_old(order);
         let degree = |r: usize| g.degree(perm.to_old(r as VertexId));
 
-        let nc = n.div_ceil(C);
-        let n_padded = nc * C;
+        let nc = n_padded / C;
         let mut cl = vec![0u32; nc];
         let mut chunk_arcs = vec![0u64; nc];
         for (i, (c, a)) in cl.iter_mut().zip(chunk_arcs.iter_mut()).enumerate() {
@@ -288,10 +291,30 @@ impl<const C: usize> SellStructure<C> {
     }
 }
 
+/// `n` rows padded to whole chunks of `lanes`, or `None` when the
+/// padded row ids do not fit the `i32` column ids of `col` (`-1` marks
+/// padding, so ids run `0..=i32::MAX - 1`).
+fn padded_rows(n: usize, lanes: usize) -> Option<usize> {
+    n.checked_next_multiple_of(lanes).filter(|&p| p <= i32::MAX as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use slimsell_graph::GraphBuilder;
+
+    #[test]
+    fn padded_rows_stop_at_the_i32_column_id_limit() {
+        assert_eq!(padded_rows(10, 4), Some(12));
+        assert_eq!(padded_rows(8, 8), Some(8));
+        let max = i32::MAX as usize;
+        // The last whole chunk below 2^31 fits; one more row pads past it.
+        assert_eq!(padded_rows(max - 7, 8), Some(max - 7));
+        assert_eq!(padded_rows(max - 6, 8), None);
+        assert_eq!(padded_rows(max, 4), None);
+        assert_eq!(padded_rows(max + 1, 4), None);
+        assert_eq!(padded_rows(usize::MAX, 32), None);
+    }
 
     fn star_plus_path() -> CsrGraph {
         // vertex 0 has degree 5; 6-7-8 path; 9 isolated

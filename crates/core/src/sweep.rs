@@ -298,7 +298,7 @@ pub fn resolve_sweep<'a>(
             let probes = act.seed(slab, pending, mask);
             pending.clear();
             let act: &'a ActivationState = act;
-            (ChunkSet::List(act.worklist()), Some(probes))
+            (act.chunk_set(), Some(probes))
         }
     }
 }

@@ -19,11 +19,14 @@
 //!    (or any plain index range) into contiguous per-worker tiles (one
 //!    per thread under [`Schedule::Static`], an over-partitioned set
 //!    under [`Schedule::Dynamic`] so fast threads steal leftovers);
-//! 2. [`ChunkSet::sweep`] carves every output slab into disjoint `&mut`
-//!    tile views with `split_at_mut` — each tile's view spans the
-//!    contiguous chunk range from its first to its last chunk, so sorted
-//!    ids give disjoint views; no locks, no atomics — plus an optional
-//!    position-indexed change-mask slab, and runs the per-chunk body;
+//! 2. [`ChunkSet::sweep`] prices a worklist in cells (its column-step
+//!    total times the slot width) and runs one below
+//!    [`INLINE_SWEEP_CELLS`] inline; otherwise it carves every output
+//!    slab into disjoint `&mut` tile views with `split_at_mut` — each
+//!    tile's view spans the contiguous chunk range from its first to its
+//!    last chunk, so sorted ids give disjoint views; no locks, no
+//!    atomics — plus an optional position-indexed change-mask slab, and
+//!    runs the per-chunk body;
 //! 3. [`ChunkSet::harvest`] turns the recorded change masks into the
 //!    `(chunk, lane mask)` seeds of the next worklist, in ascending
 //!    chunk order;
@@ -39,10 +42,16 @@
 //! drivers run it inline — a plain sequential loop with zero
 //! thread-pool interaction. This is the reference oracle the
 //! determinism suite (`tests/parallel_determinism.rs`) compares parallel
-//! runs against. Because every chunk's math is independent, writes are
-//! positional, and tile results merge in tile order, kernel outputs are
-//! **bit-identical at any thread count** provided the merge operator is
-//! associative and per-chunk work does not depend on tile boundaries.
+//! runs against. A worklist sweep of fewer than [`INLINE_SWEEP_CELLS`]
+//! cells takes the same inline path at any thread count, folding the
+//! whole set over the unsplit slabs without allocating, since below
+//! that the pool's wake-up and join cost more than the sweep (the
+//! calibration is in ARCHITECTURE.md). Because every chunk's math is
+//! independent, writes are positional, and tile results merge in tile
+//! order, kernel outputs are **bit-identical at any thread count**
+//! provided the merge operator is associative and per-chunk work does
+//! not depend on tile boundaries. The inline rule therefore moves wall
+//! time only, never an output or a counter.
 //! Kernels that need an ordered floating-point reduction (e.g. the
 //! PageRank residual) write per-chunk partials into a `width == 1` slab
 //! and sum it sequentially in chunk order afterwards.
@@ -55,7 +64,7 @@
 //! // Double chunks 1 and 3 (width 2) of a 4-chunk slab, recording a
 //! // change mask per visited chunk, then harvest the changed ones.
 //! let mut data = vec![1.0f32; 8];
-//! let set = ChunkSet::List(&[1, 3]);
+//! let set = ChunkSet::List { ids: &[1, 3], steps: 2 };
 //! let full = ChunkTiling::new(4, Schedule::Dynamic);
 //! let mut masks = Vec::new();
 //! let visited = set.sweep(&full, 2, [&mut data], Some(&mut masks), |_, _, [slot], mask| {
@@ -90,6 +99,13 @@ pub enum Schedule {
 /// over-partitioning that makes work stealing effective on skewed
 /// chunk-length distributions.
 pub const DYNAMIC_TILES_PER_THREAD: usize = 8;
+
+/// A worklist sweep of fewer cells (column steps times slot width) runs
+/// inline on the calling thread: below this, waking the pool and
+/// joining it costs more than the sweep saves. Calibrated on a 2-CPU
+/// host; ARCHITECTURE.md ("The tiling / determinism contract") has the
+/// table.
+pub const INLINE_SWEEP_CELLS: u64 = 65_536;
 
 /// Splits `0..n` into `parts` contiguous near-equal ranges (first
 /// `n % parts` ranges get the extra element). Deterministic in `n` and
@@ -251,8 +267,15 @@ pub enum ChunkSet<'a> {
     /// so the sweep walks the range without reading an id array.
     All(usize),
     /// A strictly increasing worklist of chunk ids: position `p` is
-    /// chunk `ids[p]`.
-    List(&'a [u32]),
+    /// chunk `ids[p]`. `steps` is the listed chunks' column-step total,
+    /// `Σ cl[ids[p]]`; it prices the sweep (see [`sweep`](Self::sweep))
+    /// and nothing else depends on it.
+    List {
+        /// The chunk ids, strictly increasing.
+        ids: &'a [u32],
+        /// The column-step total of the listed chunks.
+        steps: u64,
+    },
 }
 
 impl ChunkSet<'_> {
@@ -261,7 +284,7 @@ impl ChunkSet<'_> {
     pub fn len(&self) -> usize {
         match *self {
             ChunkSet::All(nc) => nc,
-            ChunkSet::List(ids) => ids.len(),
+            ChunkSet::List { ids, .. } => ids.len(),
         }
     }
 
@@ -276,7 +299,7 @@ impl ChunkSet<'_> {
     pub fn chunk(&self, pos: usize) -> usize {
         match *self {
             ChunkSet::All(_) => pos,
-            ChunkSet::List(ids) => ids[pos] as usize,
+            ChunkSet::List { ids, .. } => ids[pos] as usize,
         }
     }
 
@@ -285,20 +308,23 @@ impl ChunkSet<'_> {
     pub fn executed(&self) -> ExecutedSweep {
         match self {
             ChunkSet::All(_) => ExecutedSweep::Full,
-            ChunkSet::List(_) => ExecutedSweep::Worklist,
+            ChunkSet::List { .. } => ExecutedSweep::Worklist,
         }
     }
 
-    /// One tile-parallel sweep over the set. `full` is the (cached)
-    /// tiling of the whole chunk range; a full sweep uses it as is, a
-    /// worklist sweep re-tiles its positions under the same policy.
-    /// Each of the `N` output `slabs` holds `width` elements per chunk of
-    /// the whole range; `visit(pos, chunk, slots, mask)` gets the
-    /// chunk's `width`-sized slot of every slab and, when `masks` is
-    /// given, the chunk's slot in a zeroed per-position change-mask slab
-    /// (resized to the set length). Per-chunk results are folded with
-    /// `merge` from `R::default()` within a tile and merged in tile order
-    /// across tiles.
+    /// One sweep over the set. `full` is the (cached) tiling of the
+    /// whole chunk range; a full sweep uses it as is. A worklist sweep
+    /// is priced in cells, its column-step total times `width`: below
+    /// [`INLINE_SWEEP_CELLS`] it runs inline on the calling thread, at
+    /// or above it re-tiles its positions under `full`'s policy. A
+    /// sequential `full` runs every sweep inline. Each of the `N` output
+    /// `slabs` holds `width` elements per chunk of the whole range;
+    /// `visit(pos, chunk, slots, mask)` gets the chunk's `width`-sized
+    /// slot of every slab and, when `masks` is given, the chunk's slot in
+    /// a zeroed per-position change-mask slab (resized to the set
+    /// length). Per-chunk results are folded with `merge` from
+    /// `R::default()` within a tile and merged in tile order across
+    /// tiles; an inline sweep is one tile.
     ///
     /// # Panics
     /// Panics if `full` does not tile the whole range of an
@@ -319,36 +345,59 @@ impl ChunkSet<'_> {
         V: Fn(usize, usize, [&mut [T]; N], Option<&mut u32>) -> R + Sync,
         MG: Fn(R, R) -> R + Sync,
     {
-        let tiling = match *self {
-            ChunkSet::All(nc) => {
-                assert_eq!(full.num_chunks(), nc, "full tiling does not cover the chunk range");
-                Cow::Borrowed(full)
+        if let ChunkSet::List { ids, .. } = self {
+            debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "worklist not sorted/deduped");
+        }
+        if let Some(last) = self.len().checked_sub(1).map(|p| self.chunk(p)) {
+            for s in &slabs {
+                assert!(
+                    (last + 1) * width <= s.len(),
+                    "chunk {last} out of range for {} slots of width {width}",
+                    s.len()
+                );
             }
-            ChunkSet::List(ids) => Cow::Owned(full.retile(ids.len())),
-        };
+        }
         let masks = masks.map(|m| {
             m.clear();
             m.resize(self.len(), 0);
             m.as_mut_slice()
         });
-        let tiles = self.split(&tiling, width, slabs, masks);
-        tiling.map_reduce(
-            tiles,
-            |tile| {
-                let (p0, p1) = (tile.p0, tile.p1);
-                match *self {
-                    ChunkSet::All(_) => {
-                        fold_tile((p0..p1).map(|i| (i, i)), tile, width, &visit, &merge)
-                    }
-                    ChunkSet::List(ids) => {
-                        let chunks = (p0..p1).zip(ids[p0..p1].iter().map(|&i| i as usize));
-                        fold_tile(chunks, tile, width, &visit, &merge)
-                    }
+        let run = |tile: SetTile<'_, T, N>| {
+            let (p0, p1) = (tile.p0, tile.p1);
+            match *self {
+                ChunkSet::All(_) => {
+                    fold_tile((p0..p1).map(|i| (i, i)), tile, width, &visit, &merge)
                 }
-            },
-            R::default,
-            &merge,
-        )
+                ChunkSet::List { ids, .. } => {
+                    let chunks = (p0..p1).zip(ids[p0..p1].iter().map(|&i| i as usize));
+                    fold_tile(chunks, tile, width, &visit, &merge)
+                }
+            }
+        };
+        match self.tiling(full, width) {
+            // One fold over the unsplit slabs: no range or tile vectors.
+            None => run(SetTile { p0: 0, p1: self.len(), base: 0, slabs, masks }),
+            Some(tiling) => {
+                tiling.map_reduce(self.split(&tiling, width, slabs, masks), run, R::default, &merge)
+            }
+        }
+    }
+
+    /// The tiling a sweep over the set runs under, or `None` when it
+    /// runs inline: under a sequential `full`, or for a worklist whose
+    /// cells (`steps · width`) are below [`INLINE_SWEEP_CELLS`].
+    fn tiling<'t>(&self, full: &'t ChunkTiling, width: usize) -> Option<Cow<'t, ChunkTiling>> {
+        match *self {
+            ChunkSet::All(nc) => {
+                assert_eq!(full.num_chunks(), nc, "full tiling does not cover the chunk range");
+                (!full.is_sequential()).then_some(Cow::Borrowed(full))
+            }
+            ChunkSet::List { ids, steps } => {
+                let inline =
+                    full.is_sequential() || steps.saturating_mul(width as u64) < INLINE_SWEEP_CELLS;
+                (!inline).then(|| Cow::Owned(full.retile(ids.len())))
+            }
+        }
     }
 
     /// Carves the slabs (and the change-mask slab) into per-tile views:
@@ -361,18 +410,6 @@ impl ChunkSet<'_> {
         mut slabs: [&'s mut [T]; N],
         mut masks: Option<&'s mut [u32]>,
     ) -> Vec<SetTile<'s, T, N>> {
-        if let ChunkSet::List(ids) = self {
-            debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "worklist not sorted/deduped");
-        }
-        if let Some(last) = self.len().checked_sub(1).map(|p| self.chunk(p)) {
-            for s in &slabs {
-                assert!(
-                    (last + 1) * width <= s.len(),
-                    "chunk {last} out of range for {} slots of width {width}",
-                    s.len()
-                );
-            }
-        }
         let mut out = Vec::with_capacity(tiling.ranges().len());
         let mut cursor = 0; // chunks consumed so far
         for &(p0, p1) in tiling.ranges() {
@@ -570,7 +607,7 @@ mod tests {
             let mut slab = vec![0u32; 12 * 3];
             let mut aux = vec![0u32; 12 * 3];
             let mut masks = vec![7u32; 2]; // stale contents are reset
-            let set = ChunkSet::List(&ids);
+            let set = ChunkSet::List { ids: &ids, steps: INLINE_SWEEP_CELLS }; // tiled
             let visited = set.sweep(
                 &full,
                 3,
@@ -646,7 +683,7 @@ mod tests {
         let full = ChunkTiling::new(4, Schedule::Static);
         let mut slab = vec![0f32; 8];
         let mut masks = vec![1u32; 3];
-        let r = ChunkSet::List(&[]).sweep(
+        let r = ChunkSet::List { ids: &[], steps: 0 }.sweep(
             &full,
             2,
             [&mut slab],
@@ -656,6 +693,97 @@ mod tests {
         );
         assert_eq!(r, 0);
         assert!(masks.is_empty());
+    }
+
+    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
+    }
+
+    /// Sweeps `set` (width 2) recording the visiting thread of every
+    /// position, merged in tile order.
+    fn visit_order(set: ChunkSet<'_>, full: &ChunkTiling) -> Vec<(usize, std::thread::ThreadId)> {
+        let mut slab = vec![0u8; full.num_chunks() * 2];
+        set.sweep(
+            full,
+            2,
+            [&mut slab],
+            None,
+            |pos, _, _, _| vec![(pos, std::thread::current().id())],
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+        )
+    }
+
+    #[test]
+    fn small_list_sweep_runs_inline_in_set_order() {
+        let ids: Vec<u32> = (0..64).step_by(3).collect();
+        with_threads(4, || {
+            let caller = std::thread::current().id();
+            for schedule in [Schedule::Static, Schedule::Dynamic] {
+                let full = ChunkTiling::new(64, schedule);
+                assert!(!full.is_sequential());
+                // One cell below the bound at width 2.
+                let set = ChunkSet::List { ids: &ids, steps: INLINE_SWEEP_CELLS / 2 - 1 };
+                assert!(set.tiling(&full, 2).is_none());
+                let order = visit_order(set, &full);
+                assert_eq!(order.len(), ids.len());
+                for (k, &(pos, thread)) in order.iter().enumerate() {
+                    assert_eq!(pos, k, "positions out of set order");
+                    assert_eq!(thread, caller, "position {pos} left the calling thread");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn list_sweep_at_the_bound_uses_the_schedule_tiling() {
+        let ids: Vec<u32> = (0..64).step_by(3).collect();
+        with_threads(4, || {
+            for schedule in [Schedule::Static, Schedule::Dynamic] {
+                let full = ChunkTiling::new(64, schedule);
+                for width in [1usize, 8, 64] {
+                    let steps = INLINE_SWEEP_CELLS.div_ceil(width as u64);
+                    let set = ChunkSet::List { ids: &ids, steps };
+                    let tiling = set.tiling(&full, width).expect("a priced-in sweep tiles");
+                    assert!(!tiling.is_sequential());
+                    assert_eq!(tiling.ranges(), ChunkTiling::new(ids.len(), schedule).ranges());
+                    // One step fewer falls below the bound (every width
+                    // here divides it).
+                    let below = ChunkSet::List { ids: &ids, steps: steps - 1 };
+                    assert!(below.tiling(&full, width).is_none());
+                }
+                // Full sweeps keep the cached tiling whatever their size.
+                let tiling = ChunkSet::All(64).tiling(&full, 1).expect("full sweeps tile");
+                assert_eq!(tiling.ranges(), full.ranges());
+            }
+            let order = visit_order(
+                ChunkSet::List { ids: &ids, steps: u64::MAX },
+                &ChunkTiling::new(64, Schedule::Dynamic),
+            );
+            assert_eq!(
+                order.iter().map(|o| o.0).collect::<Vec<_>>(),
+                (0..ids.len()).collect::<Vec<_>>()
+            );
+        });
+    }
+
+    #[test]
+    fn one_thread_sweeps_inline_regardless_of_cells() {
+        let ids: Vec<u32> = (0..64).collect();
+        with_threads(1, || {
+            let caller = std::thread::current().id();
+            let full = ChunkTiling::new(64, Schedule::Dynamic);
+            let huge = ChunkSet::List { ids: &ids, steps: u64::MAX };
+            assert!(huge.tiling(&full, 32).is_none());
+            assert!(ChunkSet::All(64).tiling(&full, 32).is_none());
+            for set in [huge, ChunkSet::All(64)] {
+                let order = visit_order(set, &full);
+                assert_eq!(order.len(), 64);
+                assert!(order.iter().enumerate().all(|(k, &(p, t))| p == k && t == caller));
+            }
+        });
     }
 
     #[test]

@@ -72,6 +72,7 @@
 //! ```
 
 use crate::mask::VertexMask;
+use crate::tiling::ChunkSet;
 
 /// All-lanes mask for chunk height `lanes` (`lanes ≤ 32`; the engine's
 /// `SUPPORTED_LANES` max out at 32, matching the `u32` mask width).
@@ -242,11 +243,9 @@ impl ColumnSlab<'_> {
 /// so the union
 /// is built without hashing or atomics; the result is sorted once,
 /// keeping tile partitions and merges deterministic at any thread
-/// count. The sweep over the worklist
-/// ([`ChunkSet::List`](crate::tiling::ChunkSet::List)) records
-/// per-position changed-lane masks, and
-/// [`ChunkSet::harvest`](crate::tiling::ChunkSet::harvest) turns them
-/// into the next seeds.
+/// count. The sweep over the worklist ([`ChunkSet::List`]) records
+/// per-position changed-lane masks, and [`ChunkSet::harvest`] turns
+/// them into the next seeds.
 #[derive(Clone, Debug, Default)]
 pub struct ActivationState {
     /// Per chunk: the epoch (high half) and the seed position (low
@@ -257,6 +256,9 @@ pub struct ActivationState {
     stamp: Vec<u64>,
     epoch: u32,
     worklist: Vec<u32>,
+    /// `Σ cl[t]` over the worklist: the column steps a sweep of it
+    /// costs, summed as chunks are listed.
+    steps: u64,
     activations: u64,
 }
 
@@ -315,7 +317,7 @@ impl ActivationState {
         let listed = u64::from(self.epoch) << 32;
         let Self { stamp, worklist, .. } = self;
         worklist.clear();
-        let mut activations = 0u64;
+        let (mut activations, mut steps) = (0u64, 0u64);
         // Activates `t` for the seed whose key is `key`, once per pair;
         // the first activation this epoch lists `t`.
         let mut activate = |t: usize, key: u64| {
@@ -323,6 +325,7 @@ impl ActivationState {
             if *slot != key {
                 if *slot < listed {
                     worklist.push(t as u32);
+                    steps += u64::from(slab.cl[t]);
                 }
                 *slot = key;
                 activations += 1;
@@ -362,6 +365,7 @@ impl ActivationState {
             }
         }
         self.worklist.sort_unstable();
+        self.steps = steps;
         self.activations = activations;
         activations
     }
@@ -370,6 +374,12 @@ impl ActivationState {
     #[inline]
     pub fn worklist(&self) -> &[u32] {
         &self.worklist
+    }
+
+    /// The current worklist as the [`ChunkSet`] a sweep visits, priced
+    /// by its column-step total.
+    pub(crate) fn chunk_set(&self) -> ChunkSet<'_> {
+        ChunkSet::List { ids: &self.worklist, steps: self.steps }
     }
 
     /// Lane-filtered activations performed by the last

@@ -18,8 +18,10 @@
 //! in-process equivalent of running under `SLIMSELL_THREADS=1/2/8`
 //! (which CI also exercises across the whole suite).
 
+use slimsell::core::tiling::INLINE_SWEEP_CELLS;
 use slimsell::core::{
-    betweenness_from_sources_with, multi_bfs_with, BetweennessOptions, MsBfsOptions,
+    betweenness_from_sources_with, multi_bfs_with, BetweennessOptions, IterStats, MsBfsOptions,
+    RunStats,
 };
 use slimsell::prelude::*;
 use std::sync::Arc;
@@ -431,6 +433,98 @@ fn msbfs_bit_identical_across_thread_counts() {
                 "msbfs {sweep:?} mode trace diverged at {threads} threads"
             );
         }
+    }
+}
+
+/// Every per-iteration counter of a run (all of [`IterStats`] but the
+/// wall time), in iteration order.
+fn counter_trace(stats: &RunStats) -> Vec<String> {
+    stats
+        .iters
+        .iter()
+        .map(|i| format!("{:?}", IterStats { elapsed: Default::default(), ..*i }))
+        .collect()
+}
+
+/// Asserts the run swept worklists on both sides of the inline bound:
+/// one whose cells are exactly below it (nothing skipped, so the
+/// counted cells are the sweep's whole price) and one at or above it.
+fn assert_straddles(label: &str, stats: &RunStats) {
+    let worklist = || stats.iters.iter().filter(|i| i.sweep_mode == ExecutedSweep::Worklist);
+    assert!(
+        worklist().any(|i| i.chunks_skipped == 0 && i.cells < INLINE_SWEEP_CELLS),
+        "{label}: no worklist sweep ran inline"
+    );
+    assert!(
+        worklist().any(|i| i.cells >= INLINE_SWEEP_CELLS),
+        "{label}: no worklist sweep was tiled"
+    );
+}
+
+/// The thread counts of the straddling case, 1 (the oracle) included.
+const STRADDLE_THREADS: [usize; 3] = [1, 2, 4];
+
+/// The straddling case for one BFS semiring: worklist BFS from `root`.
+fn straddling_bfs<S: Semiring>(g: &CsrGraph, m: &SlimSellMatrix<8>, root: VertexId, label: &str) {
+    let opts = BfsOptions::default().sweep(SweepMode::Worklist);
+    let reference = with_threads(1, || BfsEngine::run::<_, S, 8>(m, root, &opts));
+    assert_eq!(reference.dist, serial_bfs(g, root).dist, "{label}: oracle wrong");
+    assert_straddles(label, &reference.stats);
+    for t in STRADDLE_THREADS {
+        let out = with_threads(t, || BfsEngine::run::<_, S, 8>(m, root, &opts));
+        assert_eq!(out.dist, reference.dist, "{label}: dist at {t} threads");
+        assert_eq!(out.parent, reference.parent, "{label}: parents at {t} threads");
+        assert_eq!(
+            counter_trace(&out.stats),
+            counter_trace(&reference.stats),
+            "{label}: counters at {t} threads"
+        );
+    }
+}
+
+#[test]
+fn sweeps_straddling_the_inline_bound_bit_identical() {
+    // Worklist sweeps below INLINE_SWEEP_CELLS run inline and the rest
+    // tile, so a run whose sweeps straddle the bound mixes both paths
+    // within one traversal. Outputs and every per-iteration counter
+    // must still match the 1-thread oracle at every thread count.
+    let g = slimsell::gen::erdos_renyi_gnm(1 << 14, 1 << 16, 3);
+    let m = SlimSellMatrix::<8>::build(&g, g.num_vertices());
+    let root = slimsell::graph::stats::sample_roots(&g, 1)[0];
+
+    straddling_bfs::<TropicalSemiring>(&g, &m, root, "tropical");
+    straddling_bfs::<SelMaxSemiring>(&g, &m, root, "sel-max");
+
+    let wg = slimsell::graph::weighted::synthetic_weighted_twin(&g);
+    let wm = WeightedSellCSigma::<8>::build(&wg, wg.num_vertices());
+    let opts = SsspOptions::default().sweep(SweepMode::Worklist);
+    let reference = with_threads(1, || sssp_with(&wm, root, &opts));
+    assert_straddles("sssp", &reference.stats);
+    for t in STRADDLE_THREADS {
+        let out = with_threads(t, || sssp_with(&wm, root, &opts));
+        assert_eq!(bits32(&out.dist), bits32(&reference.dist), "sssp: dist at {t} threads");
+        assert_eq!(out.iterations, reference.iterations, "sssp: sweeps at {t} threads");
+        assert_eq!(
+            counter_trace(&out.stats),
+            counter_trace(&reference.stats),
+            "sssp: counters at {t} threads"
+        );
+    }
+
+    let roots: [VertexId; 8] =
+        slimsell::graph::stats::sample_roots(&g, 8).try_into().expect("eight roots");
+    let opts = MsBfsOptions::default().sweep(SweepMode::Worklist);
+    let reference = with_threads(1, || multi_bfs_with::<_, 8, 8>(&m, &roots, &opts));
+    assert!(reference.completed, "msbfs oracle hit its iteration cap");
+    assert_straddles("msbfs", &reference.stats);
+    for t in STRADDLE_THREADS {
+        let out = with_threads(t, || multi_bfs_with::<_, 8, 8>(&m, &roots, &opts));
+        assert_eq!(out.dist, reference.dist, "msbfs: dist at {t} threads");
+        assert_eq!(
+            counter_trace(&out.stats),
+            counter_trace(&reference.stats),
+            "msbfs: counters at {t} threads"
+        );
     }
 }
 
