@@ -19,6 +19,7 @@ use slimsell::core::{
 use slimsell::gen::geometric::road_network;
 use slimsell::graph::weighted::synthetic_weighted_twin;
 use slimsell::prelude::*;
+use std::sync::Arc;
 
 /// Lanes per chunk for every case.
 const C: usize = 8;
@@ -38,6 +39,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/betweenness-forward/full", 0x8bfb1f6e2b8b087e),
     ("kron10/descriptor/full", 0x5e952a6e4e7317e0),
     ("kron10/descriptor-pull/full", 0xa72cd5727a9450ab),
+    ("kron10/descriptor-push/full", 0x0d82c50f1876878c),
+    ("kron10/descriptor-masked/full", 0x5546b220c2d2715b),
     ("kron10/bfs-tropical/worklist", 0xb3db59831efc5f39),
     ("kron10/bfs-selmax/worklist", 0xb3db59831efc5f39),
     ("kron10/bfs-boolean/worklist", 0xb3d126f954bcba2a),
@@ -51,6 +54,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/betweenness-forward/worklist", 0xb3d126f954bcba2a),
     ("kron10/descriptor/worklist", 0xc0fc8a205d7898ca),
     ("kron10/descriptor-pull/worklist", 0x82d25c9f080a3e31),
+    ("kron10/descriptor-push/worklist", 0x0d82c50f1876878c),
+    ("kron10/descriptor-masked/worklist", 0x537b75bf02773dbd),
     ("kron10/bfs-tropical/adaptive", 0xcb6b396443811545),
     ("kron10/bfs-selmax/adaptive", 0xcb6b396443811545),
     ("kron10/bfs-boolean/adaptive", 0x406ad2081e426301),
@@ -64,6 +69,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/betweenness-forward/adaptive", 0x406ad2081e426301),
     ("kron10/descriptor/adaptive", 0x3ae220fd4e0de693),
     ("kron10/descriptor-pull/adaptive", 0x053c8d6d856d4987),
+    ("kron10/descriptor-push/adaptive", 0x0d82c50f1876878c),
+    ("kron10/descriptor-masked/adaptive", 0x06e39cf50710a35d),
     ("road11/bfs-tropical/full", 0xb068cee66ad41728),
     ("road11/bfs-selmax/full", 0xb068cee66ad41728),
     ("road11/bfs-boolean/full", 0xb068cee66ad41728),
@@ -77,6 +84,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/betweenness-forward/full", 0xf76a354470f2464b),
     ("road11/descriptor/full", 0x857f00e52c676d44),
     ("road11/descriptor-pull/full", 0x3b31efa27ee1aa30),
+    ("road11/descriptor-push/full", 0x857f00e52c676d44),
+    ("road11/descriptor-masked/full", 0x34ca7b6fe4d10ee5),
     ("road11/bfs-tropical/worklist", 0x3520d2339b4bbf4d),
     ("road11/bfs-selmax/worklist", 0x3520d2339b4bbf4d),
     ("road11/bfs-boolean/worklist", 0x5ea48b6fbfa1d417),
@@ -90,6 +99,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/betweenness-forward/worklist", 0x5ea48b6fbfa1d417),
     ("road11/descriptor/worklist", 0x857f00e52c676d44),
     ("road11/descriptor-pull/worklist", 0x935a51e4c26d168a),
+    ("road11/descriptor-push/worklist", 0x857f00e52c676d44),
+    ("road11/descriptor-masked/worklist", 0x34ca7b6fe4d10ee5),
     ("road11/bfs-tropical/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-selmax/adaptive", 0x3520d2339b4bbf4d),
     ("road11/bfs-boolean/adaptive", 0x63ddd7596ae99fb3),
@@ -103,6 +114,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("road11/betweenness-forward/adaptive", 0x63ddd7596ae99fb3),
     ("road11/descriptor/adaptive", 0x857f00e52c676d44),
     ("road11/descriptor-pull/adaptive", 0x935a51e4c26d168a),
+    ("road11/descriptor-push/adaptive", 0x857f00e52c676d44),
+    ("road11/descriptor-masked/adaptive", 0x34ca7b6fe4d10ee5),
 ];
 
 /// FNV-1a over the little-endian bytes of a run's counter tuples.
@@ -161,6 +174,12 @@ fn traces(graph: &str, g: &CsrGraph) -> Vec<(String, u64)> {
     let roots = slimsell::graph::stats::sample_roots(g, 8);
     let root = roots[0];
     let batch: [VertexId; 8] = std::array::from_fn(|b| roots[b % roots.len()]);
+    // The lower half of the original ids, plus the root.
+    let n = g.num_vertices() as VertexId;
+    let half = Arc::new(VertexMask::from_original(
+        m.structure(),
+        (0..n).filter(|&v| v < n / 2 || v == root),
+    ));
     let mut out = Vec::new();
     for sweep in [SweepMode::Full, SweepMode::Worklist, SweepMode::Adaptive] {
         let bfs = BfsOptions::default().config(config(sweep));
@@ -202,6 +221,26 @@ fn traces(graph: &str, g: &CsrGraph) -> Vec<(String, u64)> {
                     &m,
                     root,
                     &Descriptor::default().config(config(sweep)).direction(DirectionPolicy::Pull),
+                )
+                .bfs
+                .stats,
+            ),
+            (
+                "descriptor-push",
+                run_descriptor(
+                    &m,
+                    root,
+                    &Descriptor::default().config(config(sweep)).direction(DirectionPolicy::Push),
+                )
+                .bfs
+                .stats,
+            ),
+            (
+                "descriptor-masked",
+                run_descriptor(
+                    &m,
+                    root,
+                    &Descriptor::default().config(config(sweep)).mask(half.clone()),
                 )
                 .bfs
                 .stats,
