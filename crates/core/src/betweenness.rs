@@ -192,6 +192,7 @@ where
     M: ChunkMatrix<C>,
 {
     let s = matrix.structure();
+    let slab = s.column_slab();
     let mut delta = vec![0.0f64; s.n_padded()];
     // Deepest level first; the root level (index 0) contributes nothing.
     for lvl in dag.levels.iter().skip(1).rev() {
@@ -206,12 +207,13 @@ where
         // Scatter to predecessors serially per level (rows are short and
         // levels shrink fast; this keeps the accumulation deterministic).
         for (w, coeff) in contributions {
-            let lw = dag.level[w as usize];
-            for v in s.row_neighbors(w as usize) {
-                if dag.level[v as usize] + 1 == lw {
-                    delta[v as usize] += dag.sigma[v as usize] * coeff;
+            let w = w as usize;
+            let lw = dag.level[w];
+            slab.for_each_neighbor(w / C, 1 << (w % C), |v| {
+                if dag.level[v] + 1 == lw {
+                    delta[v] += dag.sigma[v] * coeff;
                 }
-            }
+            });
         }
     }
     delta

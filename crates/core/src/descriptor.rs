@@ -12,9 +12,11 @@
 //! and the [`SweepConfig`] policy the engine already understood. Each
 //! iteration of [`run_descriptor`] is one of
 //!
-//! * **push** (top-down) steps expand an explicit frontier list through
-//!   the structure's strided rows, labeling only unvisited targets
-//!   inside the user mask;
+//! * **push** (top-down) steps expand the frontier, a `(chunk, lane
+//!   mask)` list in the worklist's seed format, through the same
+//!   column-slab walk the worklist seed takes
+//!   ([`ColumnSlab::for_each_neighbor`]), labeling only unvisited
+//!   targets inside the user mask;
 //! * **pull** (bottom-up) steps run the chunk-parallel SpMV of
 //!   [`crate::bfs`] (tropical semiring) under the user mask alone.
 //!   Settled vertices need no mask of their own: the tropical `min`
@@ -37,9 +39,9 @@ use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::TropicalSemiring;
-use crate::structure::SellStructure;
+use crate::semiring::lanes_ne_bits;
 use crate::sweep::{ExecutedSweep, SweepConfig, SweepMode};
-use crate::tiling::ChunkTiling;
+use crate::worklist::ColumnSlab;
 
 /// Which direction an iteration executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,6 +186,7 @@ where
 {
     type S = TropicalSemiring;
     let s = matrix.structure();
+    let slab = s.column_slab();
     let n = s.n();
     let m2 = s.arcs(); // 2m
     let opts =
@@ -191,13 +194,15 @@ where
     let user = opts.mask.as_deref();
     // Worklist invariant for the pull steps (see crate::bfs): outside
     // the worklist, nxt already equals cur. Push steps write cur in
-    // place, so every chunk they touch goes on the pending list and the
-    // next pull sweep rewrites it.
+    // place, so every lane they label goes on the pending list and the
+    // next pull sweep rewrites its chunk.
     let (mut cur, mut nxt, mut d, mut scratch, root_p) = init_run::<M, S, C>(matrix, root, &opts);
     let track_wl = desc.config.sweep.uses_worklist();
 
-    let mut frontier: Vec<u32> = vec![root_p as u32];
-    let mut spare: Vec<u32> = Vec::new();
+    // The frontier in the worklist's seed-list format: `(chunk, lane
+    // mask)` pairs naming the vertices labeled by the last step.
+    let mut frontier: Vec<(u32, u32)> = vec![((root_p / C) as u32, 1 << (root_p % C))];
+    let mut spare: Vec<(u32, u32)> = Vec::new();
     let mut stats = RunStats::default();
     let mut modes = Vec::new();
     let mut depth = 0u32;
@@ -213,13 +218,13 @@ where
             // The frontier's out-edges are summed only in push mode,
             // the one place the rule reads them.
             mode = match mode {
-                StepMode::TopDown
-                    if frontier.iter().map(|&w| s.row_len(w as usize)).sum::<usize>() as f64
-                        > m2 as f64 / alpha =>
-                {
+                StepMode::TopDown if out_edges(slab, &frontier) as f64 > m2 as f64 / alpha => {
                     StepMode::BottomUp
                 }
-                StepMode::BottomUp if (frontier.len() as f64) < n as f64 / beta => {
+                StepMode::BottomUp
+                    if (frontier.iter().map(|&(_, l)| l.count_ones()).sum::<u32>() as f64)
+                        < n as f64 / beta =>
+                {
                     StepMode::TopDown
                 }
                 m => m,
@@ -228,18 +233,16 @@ where
         modes.push(mode);
         let mut it = match mode {
             StepMode::TopDown => {
-                let pending = track_wl.then_some(&mut scratch.pending);
                 let scanned = match user {
-                    None => {
-                        push_step(s, &frontier, &mut spare, &mut cur.x, depth, pending, |_| true)
-                    }
-                    Some(u) => {
-                        push_step(s, &frontier, &mut spare, &mut cur.x, depth, pending, |w| {
-                            u.contains(w)
-                        })
-                    }
+                    None => push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |_| true),
+                    Some(u) => push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |w| {
+                        u.contains(w)
+                    }),
                 };
                 std::mem::swap(&mut frontier, &mut spare);
+                if track_wl {
+                    scratch.pending.extend_from_slice(&frontier);
+                }
                 // Not an SpMV sweep: the default Full tag with
                 // worklist_len == 0 marks it as a top-down step (see
                 // IterStats::sweep_mode).
@@ -256,7 +259,7 @@ where
                     &mut scratch,
                     track_wl,
                 );
-                frontier = bottom_up_frontier::<C>(&mut it, &scratch.pending, &cur.x, &nxt.x, n);
+                bottom_up_frontier::<C>(&mut it, &scratch.pending, &cur.x, &nxt.x, n, &mut frontier);
                 std::mem::swap(&mut cur, &mut nxt);
                 it
             }
@@ -280,81 +283,74 @@ where
     DirOptOutput { bfs: BfsOutput { dist, parent: None, stats }, modes }
 }
 
+/// The frontier's out-edge count (the α rule's input): its rows'
+/// stored columns, counted by the same walk a push step takes.
+fn out_edges(slab: ColumnSlab<'_>, frontier: &[(u32, u32)]) -> usize {
+    let mut edges = 0;
+    for &(j, lanes) in frontier {
+        slab.for_each_neighbor(j as usize, lanes, |_| edges += 1);
+    }
+    edges
+}
+
 /// One push step: labels every unvisited neighbor `w` of the frontier
 /// with `allowed(w)` at `depth`, in place in `x`, replaces `next` with
-/// the new frontier (in discovery order) and returns the number of
-/// arcs scanned. With `pending`, each labeled vertex's chunk and lane
-/// go on the seed list of the next worklist sweep. `allowed` is a type
+/// one `(chunk, lane bit)` entry per labeled vertex (in discovery
+/// order; the next frontier and, in worklist modes, the next sweep's
+/// seeds) and returns the number of arcs scanned. `allowed` is a type
 /// parameter so the unmasked run pays no per-arc mask test.
 fn push_step<const C: usize>(
-    s: &SellStructure<C>,
-    frontier: &[u32],
-    next: &mut Vec<u32>,
+    slab: ColumnSlab<'_>,
+    frontier: &[(u32, u32)],
+    next: &mut Vec<(u32, u32)>,
     x: &mut [f32],
     depth: u32,
-    mut pending: Option<&mut Vec<(u32, u32)>>,
     allowed: impl Fn(usize) -> bool,
 ) -> u64 {
     next.clear();
     let mut scanned = 0u64;
-    for &v in frontier {
-        for w in s.row_neighbors(v as usize) {
+    for &(j, lanes) in frontier {
+        slab.for_each_neighbor(j as usize, lanes, |w| {
             scanned += 1;
-            if x[w as usize] == f32::INFINITY && allowed(w as usize) {
-                x[w as usize] = depth as f32;
-                if let Some(p) = pending.as_deref_mut() {
-                    p.push((w / C as u32, 1u32 << (w as usize % C)));
-                }
-                next.push(w);
+            if x[w] == f32::INFINITY && allowed(w) {
+                x[w] = depth as f32;
+                next.push(((w / C) as u32, 1 << (w % C)));
             }
-        }
+        });
     }
     scanned
 }
 
-/// Recovers the sparse frontier after a bottom-up step, in ascending
-/// vertex order, and charges its lane probes to `it.frontier_probes`.
-/// The scan follows the sweep the step actually ran (`it.sweep_mode`), not
-/// the configured policy: an adaptive step may have swept either way.
+/// Recovers the frontier after a bottom-up step into `out`, as the
+/// `(chunk, changed-lane mask)` pairs of the chunks whose distances
+/// changed, in ascending chunk order, and charges its lane probes to
+/// `it.frontier_probes`. The recovery follows the sweep the step
+/// actually ran (`it.sweep_mode`), not the configured policy: an
+/// adaptive step may have swept either way.
 ///
-/// After a worklist sweep the harvested `pending` list holds exactly
-/// the changed chunks with their per-lane change masks (tropical change
-/// mask ⟺ `nxt_x ≠ cur_x`), in ascending chunk order, so walking its set
-/// bits yields the frontier at one probe per discovered vertex. After a
-/// full sweep every vertex is probed, in parallel over contiguous vertex
-/// ranges whose ordered merge keeps the frontier sorted.
+/// After a worklist sweep the harvested `pending` list is exactly that
+/// list (tropical change mask ⟺ `nxt_x ≠ cur_x`), at one probe per
+/// discovered vertex. After a full sweep each chunk's lanes are compared
+/// at once, charged as one probe per vertex.
 fn bottom_up_frontier<const C: usize>(
     it: &mut IterStats,
     pending: &[(u32, u32)],
     cur_x: &[f32],
     nxt_x: &[f32],
     n: usize,
-) -> Vec<u32> {
+    out: &mut Vec<(u32, u32)>,
+) {
+    out.clear();
     if it.sweep_mode == ExecutedSweep::Worklist {
-        let mut out = Vec::new();
-        for &(id, lanes) in pending {
-            it.frontier_probes += u64::from(lanes.count_ones());
-            let mut rest = lanes;
-            while rest != 0 {
-                let v = id as usize * C + rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                debug_assert!(v < n && nxt_x[v] != cur_x[v]);
-                out.push(v as u32);
-            }
-        }
-        return out;
+        out.extend_from_slice(pending);
+        it.frontier_probes += out.iter().map(|&(_, l)| u64::from(l.count_ones())).sum::<u64>();
+        return;
     }
     it.frontier_probes += n as u64;
-    let tiling = ChunkTiling::new(n, Schedule::Dynamic);
-    tiling.map_reduce(
-        tiling.ranges().to_vec(),
-        |(v0, v1)| (v0..v1).filter(|&v| nxt_x[v] != cur_x[v]).map(|v| v as u32).collect::<Vec<_>>(),
-        Vec::new,
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-    )
+    out.extend((0..cur_x.len() / C).filter_map(|j| {
+        let lanes = lanes_ne_bits::<C>(&cur_x[j * C..], &nxt_x[j * C..]);
+        (lanes != 0).then_some((j as u32, lanes))
+    }));
 }
 
 #[cfg(test)]

@@ -246,26 +246,6 @@ impl<const C: usize> SellStructure<C> {
         self.col.len()
     }
 
-    /// Iterates the stored neighbors of permuted row `r` (strided access
-    /// across the chunk; stops at the first padding marker, which is
-    /// always at the row's tail). Used by the sparse top-down steps of
-    /// the direction-optimized BFS.
-    #[inline]
-    pub fn row_neighbors(&self, r: usize) -> impl Iterator<Item = u32> + '_ {
-        let i = r / C;
-        let lane = r % C;
-        let base = self.cs[i] + lane;
-        (0..self.cl[i] as usize)
-            .map(move |j| self.col[base + j * C])
-            .take_while(|&c| c >= 0)
-            .map(|c| c as u32)
-    }
-
-    /// Length (degree) of permuted row `r`.
-    pub fn row_len(&self, r: usize) -> usize {
-        self.row_neighbors(r).count()
-    }
-
     /// Cross-checks the structure against its source graph; used by
     /// property tests.
     pub fn verify_against(&self, g: &CsrGraph) -> Result<(), String> {
@@ -274,8 +254,10 @@ impl<const C: usize> SellStructure<C> {
         }
         for old in 0..self.n {
             let new = self.perm.to_new(old as VertexId) as usize;
-            let mut stored: Vec<VertexId> =
-                self.row_neighbors(new).map(|w| self.perm.to_old(w)).collect();
+            let mut stored: Vec<VertexId> = Vec::new();
+            self.column_slab().for_each_neighbor(new / C, 1 << (new % C), |w| {
+                stored.push(self.perm.to_old(w as VertexId));
+            });
             stored.sort_unstable();
             if stored != g.neighbors(old as VertexId) {
                 return Err(format!(
@@ -340,7 +322,7 @@ mod tests {
         let s = SellStructure::<4>::build(&g, 10);
         // Row 0 after full sort must be the max-degree vertex (vertex 0).
         assert_eq!(s.perm().to_old(0), 0);
-        assert_eq!(s.row_len(0), 5);
+        assert_eq!(row(&s, 0).len(), 5);
         s.verify_against(&g).unwrap();
     }
 
@@ -382,18 +364,60 @@ mod tests {
         assert_eq!(s.cl()[0], 5);
     }
 
+    /// The stored columns of permuted row `r`, through the one-lane walk.
+    fn row<const C: usize>(s: &SellStructure<C>, r: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        s.column_slab().for_each_neighbor(r / C, 1 << (r % C), |w| out.push(w));
+        out
+    }
+
     #[test]
-    fn row_neighbors_match_graph() {
+    fn column_walk_reads_rows_and_their_unions() {
         let g = star_plus_path();
         for sigma in [1, 4, 10] {
             let s = SellStructure::<4>::build(&g, sigma);
+            let to_old = |w: usize| s.perm().to_old(w as VertexId);
+            // One lane: exactly the row's adjacency, padding excluded.
             for old in 0..10u32 {
-                let new = s.perm().to_new(old) as usize;
-                let mut got: Vec<u32> = s.row_neighbors(new).map(|w| s.perm().to_old(w)).collect();
+                let mut got: Vec<u32> =
+                    row(&s, s.perm().to_new(old) as usize).into_iter().map(to_old).collect();
                 got.sort_unstable();
                 assert_eq!(got, g.neighbors(old), "sigma {sigma} vertex {old}");
             }
+            // Several lanes: the union (as a multiset) of their rows.
+            for j in 0..s.num_chunks() {
+                for lanes in [0b0011u32, 0b0101, 0b1110, 0b1111] {
+                    let mut got = Vec::new();
+                    s.column_slab().for_each_neighbor(j, lanes, |w| got.push(w));
+                    let mut want: Vec<usize> = (0..4)
+                        .filter(|&l| lanes & (1 << l) != 0)
+                        .flat_map(|l| row(&s, j * 4 + l))
+                        .collect();
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "sigma {sigma} chunk {j} lanes {lanes:#b}");
+                }
+                // Zero lanes visit nothing.
+                s.column_slab().for_each_neighbor(j, 0, |_| panic!("zero lanes visited a cell"));
+            }
         }
+    }
+
+    #[test]
+    fn column_walk_drops_a_lane_at_its_first_padding_cell() {
+        // Two lanes, three steps: lane 0 is `5, pad, 8`, lane 1 is
+        // `6, 7, 9`. The cell after lane 0's padding is never read.
+        let (cs, cl, col) = (vec![0], vec![3], vec![5, 6, -1, 7, 8, 9]);
+        let slab = ColumnSlab { cs: &cs, cl: &cl, col: &col, lanes: 2 };
+        let walk = |lanes: u32| {
+            let mut out = Vec::new();
+            slab.for_each_neighbor(0, lanes, |w| out.push(w));
+            out
+        };
+        assert_eq!(walk(0b01), [5]);
+        assert_eq!(walk(0b10), [6, 7, 9]);
+        // Step-major: step k of every live lane before step k + 1.
+        assert_eq!(walk(0b11), [5, 6, 7, 9]);
     }
 
     #[test]
@@ -438,7 +462,7 @@ mod tests {
     fn isolated_vertices_have_empty_rows() {
         let g = GraphBuilder::new(8).edges([(0, 1)]).build();
         let s = SellStructure::<4>::build(&g, 1);
-        assert_eq!(s.row_len(s.perm().to_new(5) as usize), 0);
+        assert!(row(&s, s.perm().to_new(5) as usize).is_empty());
     }
 
     #[test]

@@ -231,6 +231,43 @@ impl ColumnSlab<'_> {
     pub fn num_chunks(&self) -> usize {
         self.cs.len()
     }
+
+    /// The one row walk: calls `f(col)` for every stored column of the
+    /// rows `lanes` names in chunk `j`, step-major (step `k` of every
+    /// live lane before step `k + 1`). A lane drops out at its first
+    /// padding cell, since padding only ever trails a row; zero lanes
+    /// visit nothing. The worklist seed, the direction-optimized push
+    /// step and every row read go through here. A single lane takes a
+    /// plain strided loop: a push step walks one row per frontier
+    /// vertex.
+    #[inline]
+    pub fn for_each_neighbor(&self, j: usize, lanes: u32, mut f: impl FnMut(usize)) {
+        let c = self.lanes;
+        let (start, end) = (self.cs[j], self.cs[j] + self.cl[j] as usize * c);
+        if lanes.is_power_of_two() {
+            let mut cell = start + lanes.trailing_zeros() as usize;
+            while cell < end && self.col[cell] >= 0 {
+                f(self.col[cell] as usize);
+                cell += c;
+            }
+            return;
+        }
+        let mut live = lanes;
+        for step in self.col[start..end].chunks_exact(c) {
+            if live == 0 {
+                break;
+            }
+            let mut bits = live;
+            while bits != 0 {
+                let l = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                match step[l] {
+                    col if col < 0 => live &= !(1 << l),
+                    col => f(col as usize),
+                }
+            }
+        }
+    }
 }
 
 /// Epoch-stamped worklist builder: turns a set of changed chunks (with
@@ -340,29 +377,13 @@ impl ActivationState {
             let j = j as usize;
             // The self edge: all lanes, exempt from the vertex mask.
             activate(j, key);
-            // `live` drops a lane at its first padding cell: padding
-            // only ever trails a row.
-            let mut live = seed_mask;
-            for step in slab.col[slab.cs[j]..].chunks_exact(lanes).take(slab.cl[j] as usize) {
-                let mut bits = live;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let c = step[l];
-                    if c < 0 {
-                        live &= !(1 << l);
-                        continue;
-                    }
-                    let t = c as usize >> shift;
-                    // A fully masked dependent is dropped before it counts.
-                    if mask.is_none_or(|m| m.allowed_real(t) != 0) {
-                        activate(t, key);
-                    }
+            slab.for_each_neighbor(j, seed_mask, |c| {
+                let t = c >> shift;
+                // A fully masked dependent is dropped before it counts.
+                if mask.is_none_or(|m| m.allowed_real(t) != 0) {
+                    activate(t, key);
                 }
-                if live == 0 {
-                    break;
-                }
-            }
+            });
         }
         self.worklist.sort_unstable();
         self.steps = steps;
