@@ -80,13 +80,12 @@ pub struct IterStats {
     /// PageRank sweeps, top-down steps).
     pub active_cells: u64,
     /// Lane probes paid by the direction-optimized driver to recover
-    /// the sparse frontier after a bottom-up step. After a worklist
-    /// sweep the recovery walks only the set bits of the harvested
-    /// `(chunk, changed-lane mask)` pairs (one probe per discovered
-    /// vertex), where it used to rescan every lane of every worklist
-    /// chunk (`worklist_len · C` probes); full-sweep recovery still
-    /// scans the padded range. 0 outside direction-optimized bottom-up
-    /// iterations.
+    /// the frontier after a bottom-up step. In runs that record changes
+    /// (worklist and adaptive sweep modes, full adaptive sweeps
+    /// included) the frontier is the sweep's harvested `(chunk,
+    /// changed-lane mask)` list, one probe per discovered vertex; pure
+    /// full-sweep runs compare every chunk's lanes, charged `n` probes.
+    /// 0 outside direction-optimized bottom-up iterations.
     pub frontier_probes: u64,
     /// Whether any output changed (frontier non-empty).
     pub changed: bool,

@@ -40,7 +40,7 @@ use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::TropicalSemiring;
 use crate::semiring::lanes_ne_bits;
-use crate::sweep::{ExecutedSweep, SweepConfig, SweepMode};
+use crate::sweep::{SweepConfig, SweepMode};
 use crate::worklist::ColumnSlab;
 
 /// Which direction an iteration executed.
@@ -259,7 +259,8 @@ where
                     &mut scratch,
                     track_wl,
                 );
-                bottom_up_frontier::<C>(&mut it, &scratch.pending, &cur.x, &nxt.x, n, &mut frontier);
+                let harvest = track_wl.then_some(&scratch.pending[..]);
+                bottom_up_frontier::<C>(&mut it, harvest, &cur.x, &nxt.x, n, &mut frontier);
                 std::mem::swap(&mut cur, &mut nxt);
                 it
             }
@@ -324,25 +325,24 @@ fn push_step<const C: usize>(
 /// Recovers the frontier after a bottom-up step into `out`, as the
 /// `(chunk, changed-lane mask)` pairs of the chunks whose distances
 /// changed, in ascending chunk order, and charges its lane probes to
-/// `it.frontier_probes`. The recovery follows the sweep the step
-/// actually ran (`it.sweep_mode`), not the configured policy: an
-/// adaptive step may have swept either way.
+/// `it.frontier_probes`.
 ///
-/// After a worklist sweep the harvested `pending` list is exactly that
-/// list (tropical change mask ⟺ `nxt_x ≠ cur_x`), at one probe per
-/// discovered vertex. After a full sweep each chunk's lanes are compared
-/// at once, charged as one probe per vertex.
+/// A recorded step (any step of a run that may sweep a worklist, an
+/// adaptive full sweep included) has just harvested exactly that list
+/// into `harvest` (tropical change mask ⟺ `nxt_x ≠ cur_x`): one probe
+/// per discovered vertex. Only pure full-sweep runs, which record
+/// nothing, compare each chunk's lanes, charged as one probe per vertex.
 fn bottom_up_frontier<const C: usize>(
     it: &mut IterStats,
-    pending: &[(u32, u32)],
+    harvest: Option<&[(u32, u32)]>,
     cur_x: &[f32],
     nxt_x: &[f32],
     n: usize,
     out: &mut Vec<(u32, u32)>,
 ) {
     out.clear();
-    if it.sweep_mode == ExecutedSweep::Worklist {
-        out.extend_from_slice(pending);
+    if let Some(harvest) = harvest {
+        out.extend_from_slice(harvest);
         it.frontier_probes += out.iter().map(|&(_, l)| u64::from(l.count_ones())).sum::<u64>();
         return;
     }

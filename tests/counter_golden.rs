@@ -67,10 +67,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kron10/msbfs-8/adaptive", 0x6700d900ab070f78),
     ("kron10/pagerank/adaptive", 0xfcfa137014087917),
     ("kron10/betweenness-forward/adaptive", 0x406ad2081e426301),
-    ("kron10/descriptor/adaptive", 0x3ae220fd4e0de693),
-    ("kron10/descriptor-pull/adaptive", 0x053c8d6d856d4987),
+    ("kron10/descriptor/adaptive", 0x3fc953db75e24ca9),
+    ("kron10/descriptor-pull/adaptive", 0xe9f189ca67562f35),
     ("kron10/descriptor-push/adaptive", 0x0d82c50f1876878c),
-    ("kron10/descriptor-masked/adaptive", 0x06e39cf50710a35d),
+    ("kron10/descriptor-masked/adaptive", 0xe75506a4cdc67aec),
     ("road11/bfs-tropical/full", 0xb068cee66ad41728),
     ("road11/bfs-selmax/full", 0xb068cee66ad41728),
     ("road11/bfs-boolean/full", 0xb068cee66ad41728),
