@@ -13,23 +13,18 @@
 //!   SlimWork probe, and (via
 //!   [`ActivationState::seed`](crate::worklist::ActivationState::seed))
 //!   before any activation probe is paid;
-//! * intersect the mask with a chunk's changed-lane word with one AND
-//!   ([`VertexMask::and_lanes`]);
 //! * blend a partially masked chunk's freshly computed lanes back to
 //!   their previous values, which for every shipped semiring is
 //!   bit-for-bit "this lane did not run" (see the masked-sweep notes
 //!   in ARCHITECTURE.md).
 //!
-//! Two invariants keep the hot-path tests branch-free:
-//!
-//! * **Padding lanes are always set.** The virtual rows `n..n_padded`
-//!   exist only to square off the last chunk; their semiring state is
-//!   initialized "finished" and never changes, so allowing them costs
-//!   nothing — and `allowed == full_lane_mask(C)` then means "this
-//!   chunk runs the exact unmasked path".
-//! * **The selected-vertex count is popcount-tracked.** Every update
-//!   maintains [`VertexMask::len`] incrementally, so the push↔pull
-//!   style size heuristics read it in O(1).
+//! One invariant keeps the hot-path tests branch-free: **padding lanes
+//! are always set.** The virtual rows `n..n_padded` exist only to
+//! square off the last chunk; their semiring state is initialized
+//! "finished" and never changes, so allowing them costs nothing — and
+//! `allowed == full_lane_mask(C)` then means "this chunk runs the exact
+//! unmasked path". The selected-vertex count is kept as the mask is
+//! built, so [`VertexMask::len`] is O(1).
 //!
 //! Masks address the permuted id space (the space the dense state
 //! vectors live in). Build them from original graph ids with
@@ -106,13 +101,6 @@ impl VertexMask {
         Self { n, lanes, allowed: vec![full_lane_mask(lanes); nc], ones: n }
     }
 
-    /// The structural view of `s`: every real vertex of the structure,
-    /// sized to its chunk layout ([`Self::full`] with `s`'s
-    /// dimensions).
-    pub fn structural<const C: usize>(s: &SellStructure<C>) -> Self {
-        Self::full(s.n(), C)
-    }
-
     /// Builds a mask sized for `s` from *original* graph ids, mapping
     /// each through the σ-sort permutation. Out-of-range ids panic;
     /// duplicates are fine.
@@ -187,15 +175,6 @@ impl VertexMask {
         self.allowed[i] & self.real(i)
     }
 
-    /// Intersects chunk `i`'s allowed word with an arbitrary lane mask
-    /// — a changed-lane mask from the worklist harvest or a dependency
-    /// edge's source-lane mask. The surviving bits are the lanes that
-    /// are both interesting to the caller and inside the mask.
-    #[inline]
-    pub fn and_lanes(&self, i: usize, lane_mask: u32) -> u32 {
-        self.allowed[i] & lane_mask
-    }
-
     /// Membership test for a permuted vertex id.
     #[inline]
     pub fn contains(&self, v: usize) -> bool {
@@ -215,110 +194,15 @@ impl VertexMask {
         fresh
     }
 
-    /// Removes a permuted vertex id; returns whether it was present.
-    /// O(1), count-maintaining.
-    pub fn remove(&mut self, v: usize) -> bool {
-        assert!(v < self.n, "vertex {v} out of mask range {}", self.n);
-        let word = &mut self.allowed[v / self.lanes];
-        let bit = 1u32 << (v % self.lanes);
-        let present = *word & bit != 0;
-        *word &= !bit;
-        self.ones -= present as usize;
-        present
-    }
-
-    /// Inserts every set lane of `lane_mask` in chunk `i` (real lanes
-    /// only) and returns how many were newly inserted — the bulk form
-    /// for a harvested `(chunk, changed-lane mask)` pair, one popcount
-    /// per chunk instead of per-vertex updates.
-    pub fn insert_lanes(&mut self, i: usize, lane_mask: u32) -> u32 {
-        let add = lane_mask & self.real(i) & !self.allowed[i];
-        self.allowed[i] |= add;
-        let fresh = add.count_ones();
-        self.ones += fresh as usize;
-        fresh
-    }
-
     /// The complemented set over the real vertices (padding lanes stay
     /// set). Involutive: `m.complement().complement() == m`.
     #[must_use]
     pub fn complement(&self) -> Self {
         let mut out = self.clone();
-        out.complement_in_place();
-        out
-    }
-
-    /// In-place [`Self::complement`], for per-iteration reuse without
-    /// reallocating.
-    pub fn complement_in_place(&mut self) {
-        for i in 0..self.allowed.len() {
-            self.allowed[i] = (!self.allowed[i] & self.real(i)) | self.pad(i);
-        }
-        self.ones = self.n - self.ones;
-    }
-
-    /// Intersection with `other` (same dimensions required).
-    #[must_use]
-    pub fn and(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.and_assign(other);
-        out
-    }
-
-    /// In-place intersection with `other`.
-    pub fn and_assign(&mut self, other: &Self) {
-        assert_eq!(
-            (self.n, self.lanes),
-            (other.n, other.lanes),
-            "mask dimension mismatch in intersection"
-        );
-        let mut ones = 0usize;
-        for i in 0..self.allowed.len() {
-            self.allowed[i] &= other.allowed[i] | self.pad(i);
-            ones += (self.allowed[i] & self.real(i)).count_ones() as usize;
-        }
-        self.ones = ones;
-    }
-
-    /// Difference `self \ other` (same dimensions required), computed
-    /// without materializing the complement.
-    #[must_use]
-    pub fn and_not(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.and_not_assign(other);
-        out
-    }
-
-    /// In-place [`Self::and_not`].
-    pub fn and_not_assign(&mut self, other: &Self) {
-        assert_eq!(
-            (self.n, self.lanes),
-            (other.n, other.lanes),
-            "mask dimension mismatch in difference"
-        );
-        let mut ones = 0usize;
-        for i in 0..self.allowed.len() {
-            self.allowed[i] = (self.allowed[i] & !other.allowed[i] & self.real(i)) | self.pad(i);
-            ones += (self.allowed[i] & self.real(i)).count_ones() as usize;
-        }
-        self.ones = ones;
-    }
-
-    /// Union with `other` (same dimensions required).
-    #[must_use]
-    pub fn or(&self, other: &Self) -> Self {
-        assert_eq!(
-            (self.n, self.lanes),
-            (other.n, other.lanes),
-            "mask dimension mismatch in union"
-        );
-        let mut out = self.clone();
-        let mut ones = 0usize;
         for i in 0..out.allowed.len() {
-            out.allowed[i] |= other.allowed[i];
-            ones += (out.allowed[i] & out.real(i)).count_ones() as usize;
+            out.allowed[i] = (!out.allowed[i] & out.real(i)) | out.pad(i);
         }
-        out.ones = ones;
+        out.ones = self.n - self.ones;
         out
     }
 
@@ -393,27 +277,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_track_popcount() {
+    fn insert_tracks_popcount() {
         let mut m = VertexMask::empty(10, 4);
         assert!(m.insert(3));
         assert!(!m.insert(3));
         assert!(m.insert(9));
         assert_eq!(m.len(), 2);
         assert!(m.contains(3) && m.contains(9) && !m.contains(4));
-        assert!(m.remove(3));
-        assert!(!m.remove(3));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![9]);
-    }
-
-    #[test]
-    fn insert_lanes_bulk_counts_and_clips_padding() {
-        let mut m = VertexMask::empty(10, 4);
-        assert_eq!(m.insert_lanes(0, 0b1010), 2);
-        assert_eq!(m.insert_lanes(0, 0b1011), 1); // lanes 1,3 already in
-                                                  // Chunk 2: only lanes 0,1 are real; padding bits are ignored.
-        assert_eq!(m.insert_lanes(2, 0b1111), 2);
-        assert_eq!(m.len(), 5);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![3, 9]);
     }
 
     #[test]
@@ -421,27 +292,8 @@ mod tests {
         let m = VertexMask::from_permuted(13, 8, [0, 5, 7, 12]);
         assert_eq!(m.complement().complement(), m);
         assert_eq!(m.complement().len(), 13 - m.len());
-        // Complement partitions: m ∩ ¬m = ∅, m ∪ ¬m = full.
-        assert!(m.and(&m.complement()).is_empty());
-        assert!(m.or(&m.complement()).is_full());
-    }
-
-    #[test]
-    fn set_algebra() {
-        let a = VertexMask::from_permuted(10, 4, [0, 1, 2, 8]);
-        let b = VertexMask::from_permuted(10, 4, [1, 2, 3, 9]);
-        assert_eq!(a.and(&b).iter().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(a.and_not(&b).iter().collect::<Vec<_>>(), vec![0, 8]);
-        assert_eq!(a.or(&b).len(), 6);
-        // and_not agrees with and-of-complement.
-        assert_eq!(a.and_not(&b), a.and(&b.complement()));
-    }
-
-    #[test]
-    fn and_lanes_intersects_arbitrary_masks() {
-        let m = VertexMask::from_permuted(8, 4, [0, 2, 5]);
-        assert_eq!(m.and_lanes(0, 0b0111), 0b0101);
-        assert_eq!(m.and_lanes(1, 0b1111), 0b0010);
+        // Complement partitions the real vertices.
+        assert!((0..13).all(|v| m.contains(v) != m.complement().contains(v)));
     }
 
     #[test]
@@ -453,7 +305,7 @@ mod tests {
         let m = VertexMask::from_original(&s, [4u32]);
         assert_eq!(m.len(), 1);
         assert!(m.contains(s.perm().to_new(4) as usize));
-        VertexMask::structural(&s).check_layout(&s);
+        m.check_layout(&s);
     }
 
     #[test]
@@ -481,10 +333,10 @@ mod tests {
 
     #[test]
     fn lanes_32_masks_do_not_overflow() {
-        let mut m = VertexMask::full(64, 32);
-        assert_eq!(m.allowed(0), u32::MAX);
-        assert!(m.remove(31));
+        assert_eq!(VertexMask::full(64, 32).allowed(0), u32::MAX);
+        let m = VertexMask::from_permuted(64, 32, (0..64).filter(|&v| v != 31));
         assert_eq!(m.allowed(0), !(1 << 31));
         assert_eq!(m.len(), 63);
+        assert_eq!(m.complement().allowed(0), 1 << 31);
     }
 }

@@ -31,8 +31,8 @@ fn half_mask(g: &CsrGraph, root: VertexId) -> (Vec<bool>, Vec<VertexId>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Mask algebra over arbitrary vertex sets: complement involution,
-    /// De Morgan duality, and/or/and_not agreeing with the per-vertex
+    /// Mask laws over arbitrary vertex sets: complement involution and
+    /// membership, `contains` and `len` agreeing with the per-vertex
     /// booleans, padding lanes always allowed, `allowed_real` exactly
     /// the real-lane restriction of `allowed`.
     #[test]
@@ -60,28 +60,18 @@ proptest! {
 
         // Involution: ¬¬a = a.
         prop_assert_eq!(words(&a.complement().complement()), words(&a));
-        // Set operations agree with the per-vertex booleans.
-        for v in 0..n {
-            prop_assert_eq!(a.contains(v), a_bits[v]);
-            prop_assert_eq!(a.and(&b).contains(v), a_bits[v] && b_bits[v]);
-            prop_assert_eq!(a.or(&b).contains(v), a_bits[v] || b_bits[v]);
-            prop_assert_eq!(a.and_not(&b).contains(v), a_bits[v] && !b_bits[v]);
-            prop_assert_eq!(a.complement().contains(v), !a_bits[v]);
+        // Membership agrees with the per-vertex booleans.
+        for (v, &bit) in a_bits.iter().enumerate().take(n) {
+            prop_assert_eq!(a.contains(v), bit);
+            prop_assert_eq!(a.complement().contains(v), !bit);
         }
-        // De Morgan: ¬(a ∪ b) = ¬a ∩ ¬b, and_not via complement.
-        prop_assert_eq!(
-            words(&a.or(&b).complement()),
-            words(&a.complement().and(&b.complement()))
-        );
-        prop_assert_eq!(words(&a.and_not(&b)), words(&a.and(&b.complement())));
-        // Cardinality tracks membership; empty/full fixpoints.
+        // Cardinality tracks membership.
         prop_assert_eq!(a.len(), a_bits[..n].iter().filter(|&&x| x).count());
-        prop_assert!(a.or(&a.complement()).is_full());
-        prop_assert!(a.and(&a.complement()).is_empty());
+        prop_assert_eq!(a.complement().len(), n - a.len());
         // Padding lanes (beyond n in the last chunk) stay allowed under
         // every operation, and allowed_real strips exactly them.
         let nc = a.num_chunks();
-        for m in [&a, &b, &a.complement(), &a.and(&b), &a.or(&b), &a.and_not(&b)] {
+        for m in [&a, &b, &a.complement()] {
             for i in 0..nc {
                 let mut real = 0u32;
                 for l in 0..lanes {
@@ -112,10 +102,7 @@ fn insert_remove_round_trip() {
     assert!(m.insert(7));
     assert!(!m.insert(7), "double insert must report no-op");
     assert!(m.contains(7));
-    assert!(m.remove(7));
-    assert!(!m.remove(7), "double remove must report no-op");
-    assert!(!m.contains(7));
-    assert!(m.is_empty());
+    assert_eq!(m.iter().collect::<Vec<_>>(), [7]);
     let full = VertexMask::full(23, 4);
     assert!(full.is_full());
     assert_eq!(full.len(), 23);
