@@ -168,42 +168,23 @@ pub struct BfsOutput {
 /// Per-run reusable buffers, made by [`init_run`] for the engine loop
 /// and the direction-optimized driver and threaded through every
 /// iteration so the hot loop allocates nothing proportional to the
-/// graph: the cached full-range tiling, the worklist activation
+/// graph: the run's full-range tiling, the worklist activation
 /// machinery, the sweep's change masks and SlimChunk's per-phase
 /// buffers all persist across hops.
-#[derive(Default)]
 pub(crate) struct EngineScratch {
-    /// Cached full-range tiling, keyed by (chunk count, schedule).
-    pub(crate) tiling: Option<(usize, Schedule, ChunkTiling)>,
+    /// The full-range tiling of the run's chunks under its schedule.
+    pub(crate) tiling: ChunkTiling,
     /// Worklist activation machinery (stamps, worklist).
     pub(crate) act: ActivationState,
     /// Seeds for the next worklist: `(chunk, lane mask)` pairs for
     /// chunks whose state changed this iteration, with the mask naming
-    /// the changed rows (the direction-optimized driver also pushes the
-    /// lanes its top-down steps touched).
+    /// the changed rows (the direction-optimized driver also appends
+    /// the lanes its top-down steps labeled).
     pub(crate) pending: Vec<(u32, u32)>,
     /// Per-position changed lane masks recorded by the current sweep.
     pub(crate) masks: Vec<u32>,
     /// SlimChunk's task list, offsets, skip flags and tile partials.
     pub(crate) tasks: slimchunk::TaskBuffers,
-}
-
-/// The cached full-range tiling of [`EngineScratch::tiling`], rebuilt
-/// when the chunk count or schedule changes. Takes the field rather
-/// than the scratch so callers can hold borrows of the other fields.
-pub(crate) fn cached_full_tiling(
-    slot: &mut Option<(usize, Schedule, ChunkTiling)>,
-    nc: usize,
-    schedule: Schedule,
-) -> &ChunkTiling {
-    let rebuild = match slot {
-        Some((c, s, _)) => *c != nc || *s != schedule,
-        None => true,
-    };
-    if rebuild {
-        *slot = Some((nc, schedule, ChunkTiling::new(nc, schedule)));
-    }
-    &slot.as_ref().expect("just built").2
 }
 
 /// The BFS-SpMV engine. Stateless; methods are entry points.
@@ -257,8 +238,9 @@ impl BfsEngine {
 }
 
 /// The setup every engine run shares: checks `root` (range, mask
-/// layout, mask membership), initializes `cur` and `d` with `S` and,
-/// when the run may sweep a worklist, establishes the worklist
+/// layout, mask membership), initializes `cur` and `d` with `S`, tiles
+/// the chunks once for the run's full sweeps and, when the run may
+/// sweep a worklist, establishes the worklist
 /// invariant (`nxt` equals `cur` on the vectors `S` declares) and seeds
 /// the pending list with the root's lane. Returns (`cur`, `nxt`, `d`,
 /// scratch, permuted root).
@@ -284,7 +266,13 @@ where
     let mut nxt = StateVecs::new(np);
     let mut d = vec![0.0f32; np];
     S::init(&mut cur, &mut d, n, root_p);
-    let mut scratch = EngineScratch::default();
+    let mut scratch = EngineScratch {
+        tiling: ChunkTiling::new(s.num_chunks(), opts.config.schedule),
+        act: ActivationState::new(),
+        pending: Vec::new(),
+        masks: Vec::new(),
+        tasks: slimchunk::TaskBuffers::default(),
+    };
     if opts.config.sweep.uses_worklist() {
         clone_state::<S>(&cur, &mut nxt);
         scratch.pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
@@ -502,11 +490,9 @@ where
     S: Semiring,
 {
     let s = matrix.structure();
-    let nc = s.num_chunks();
-    let EngineScratch { tiling, act, pending, masks, tasks } = scratch;
+    let EngineScratch { tiling: full, act, pending, masks, tasks } = scratch;
     let mask = opts.mask.as_deref();
     let (set, seeded) = resolve_sweep(opts.config.sweep, act, s.column_slab(), pending, mask);
-    let full = cached_full_tiling(tiling, nc, opts.config.schedule);
     let recorded = record.then_some(&mut *masks);
     let mut it = match opts.slimchunk {
         None => iterate::<M, S, C>(matrix, cur, nxt, d, depth, opts, set, full, recorded),
