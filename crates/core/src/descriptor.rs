@@ -38,8 +38,8 @@ use crate::bfs::{init_run, step, BfsOptions, BfsOutput, Schedule};
 use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
-use crate::semiring::TropicalSemiring;
 use crate::semiring::lanes_ne_bits;
+use crate::semiring::TropicalSemiring;
 use crate::sweep::{SweepConfig, SweepMode};
 use crate::worklist::ColumnSlab;
 
@@ -221,10 +221,7 @@ where
                 StepMode::TopDown if out_edges(slab, &frontier) as f64 > m2 as f64 / alpha => {
                     StepMode::BottomUp
                 }
-                StepMode::BottomUp
-                    if (frontier.iter().map(|&(_, l)| l.count_ones()).sum::<u32>() as f64)
-                        < n as f64 / beta =>
-                {
+                StepMode::BottomUp if (vertices(&frontier) as f64) < n as f64 / beta => {
                     StepMode::TopDown
                 }
                 m => m,
@@ -234,10 +231,14 @@ where
         let mut it = match mode {
             StepMode::TopDown => {
                 let scanned = match user {
-                    None => push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |_| true),
-                    Some(u) => push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |w| {
-                        u.contains(w)
-                    }),
+                    None => {
+                        push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |_| true)
+                    }
+                    Some(u) => {
+                        push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |w| {
+                            u.contains(w)
+                        })
+                    }
                 };
                 std::mem::swap(&mut frontier, &mut spare);
                 if track_wl {
@@ -282,6 +283,11 @@ where
         })
         .collect();
     DirOptOutput { bfs: BfsOutput { dist, parent: None, stats }, modes }
+}
+
+/// The number of vertices a seed list names (the β rule's input).
+fn vertices(list: &[(u32, u32)]) -> u64 {
+    list.iter().map(|&(_, lanes)| u64::from(lanes.count_ones())).sum()
 }
 
 /// The frontier's out-edge count (the α rule's input): its rows'
@@ -343,7 +349,7 @@ fn bottom_up_frontier<const C: usize>(
     out.clear();
     if let Some(harvest) = harvest {
         out.extend_from_slice(harvest);
-        it.frontier_probes += out.iter().map(|&(_, l)| u64::from(l.count_ones())).sum::<u64>();
+        it.frontier_probes += vertices(out);
         return;
     }
     it.frontier_probes += n as u64;
