@@ -312,7 +312,7 @@ impl ChunkSet<'_> {
         }
     }
 
-    /// One sweep over the set. `full` is the (cached) tiling of the
+    /// One sweep over the set. `full` is the run's tiling of the
     /// whole chunk range; a full sweep uses it as is. A worklist sweep
     /// is priced in cells, its column-step total times `width`: below
     /// [`INLINE_SWEEP_CELLS`] it runs inline on the calling thread, at
