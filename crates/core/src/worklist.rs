@@ -239,10 +239,11 @@ impl ColumnSlab<'_> {
     /// visit nothing. The worklist seed, the direction-optimized push
     /// step and every row read go through here. A single lane takes a
     /// plain strided loop: a push step walks one row per frontier
-    /// vertex.
+    /// vertex. `lanes` names lanes below the chunk height only.
     #[inline]
     pub fn for_each_neighbor(&self, j: usize, lanes: u32, mut f: impl FnMut(usize)) {
         let c = self.lanes;
+        debug_assert_eq!(lanes & !full_lane_mask(c), 0, "lane mask {lanes:#x} exceeds C = {c}");
         let (start, end) = (self.cs[j], self.cs[j] + self.cl[j] as usize * c);
         if lanes.is_power_of_two() {
             let mut cell = start + lanes.trailing_zeros() as usize;
