@@ -8,56 +8,31 @@
 //! static or dynamic scheduling, modeling the paper's `omp-s`/`omp-d`
 //! configurations (§IV-A1).
 //!
-//! Data-parallel safety: iteration `k` reads the previous iteration's
-//! vectors (`cur`) and writes chunk-disjoint slices of the next vectors
-//! (`nxt`) and of the persistent distance vector `d`, so the rayon loop
-//! is race-free by construction.
+//! The one sweep loop: `sweep_loop` runs every frontier-style kernel of
+//! the crate (this engine, SlimChunk, multi-source BFS and connected
+//! components) through a `ChunkKernel`, the part that computes one
+//! chunk. The loop owns the rest: root checks and root-lane seeding, the
+//! run's tiling and worklist state, the sweep-policy decision
+//! ([`resolve_sweep`]: the whole range or the worklist, see
+//! [`crate::sweep`]), the [`ChunkSet::sweep`], the harvest of change
+//! masks into the next worklist's seeds ([`crate::worklist`]), the
+//! [`IterStats`] accounting, the stop rules and the buffer swap.
+//! Weighted SSSP is this engine's tropical loop over a weighted matrix
+//! ([`mod@crate::sssp`]).
 //!
-//! Parallel execution model: each iteration sweeps one [`ChunkSet`] —
-//! the whole chunk range or the active worklist — through
-//! [`ChunkSet::sweep`], which partitions the set into contiguous
-//! per-worker tiles whose output slabs are carved out of the state
-//! vectors with `split_at_mut` — disjoint `&mut [f32]` ownership, no
-//! locks, no atomics on the frontier. Static scheduling makes exactly
-//! one tile per thread (OpenMP static); dynamic scheduling
-//! over-partitions so fast threads steal leftover tiles (OpenMP
-//! dynamic). When the effective thread count is 1 the engine takes a
-//! plain sequential loop over chunks — the reference oracle the
-//! determinism tests compare parallel runs against. Outputs are
-//! bit-identical across thread counts and schedules because every
-//! chunk's math is independent and writes are positional. The same
-//! sweep (shared via [`crate::tiling`]) drives SlimChunk, PageRank,
-//! multi-source BFS and the betweenness forward sweep, and one span
-//! runner serves full and worklist sweeps alike. Weighted SSSP is this
-//! engine's tropical loop over a weighted matrix ([`mod@crate::sssp`]).
-//!
-//! Worklist sweeps ([`SweepMode::Worklist`]) replace the full sweep
-//! with frontier-proportional sweeps over an active-chunk worklist:
-//! each iteration's exactly-detected changed chunks and lanes are
-//! walked in the matrix's own column slab ([`crate::worklist`]) — the
-//! chunks their rows point into are the only chunks whose output can
-//! differ next iteration — and an epoch-stamped activation array turns
-//! them into the next sorted worklist. No dependency graph is built.
-//! The invariant making this sound with double buffering:
-//! outside the worklist, `nxt` already equals `cur` bit-for-bit (a
-//! chunk leaves the list only after an iteration in which its output
-//! did not change), so untouched chunks need no copy-forward and the
-//! buffer swap is safe. Distances, parents, iteration count and the
-//! work each *processed* chunk does are bit-identical to the full
-//! sweep; only the visit/skip accounting differs (see
-//! [`IterStats::chunks_not_on_worklist`]).
-//!
-//! Which chunk set runs is decided by the [`SweepMode`] policy layer
-//! ([`crate::sweep`]): [`BfsOptions::config`] selects pure full sweeps,
-//! pure worklist sweeps, or — the default — the adaptive gate, which
-//! sweeps the worklist while the seed chunks hold under 1/3 of the
-//! matrix's cells. Adaptive full sweeps *record* per-chunk bit-exact
-//! change masks, like every worklist sweep, so the worklist can be
-//! re-seeded correctly on every full→worklist transition; see the
-//! `sweep` module docs for the re-seeding invariant. The 1-thread
-//! full-sweep run remains the oracle the equivalence suite compares
-//! every mode against.
+//! Data-parallel safety: sweep `k` reads the previous sweep's state
+//! (`cur`) and writes chunk-disjoint slabs of the next state (`nxt`) and
+//! of the in-place state (the distance vector `d`), carved out with
+//! `split_at_mut` by [`ChunkSet::sweep`]: no locks, no atomics. Static
+//! scheduling makes one tile per thread (OpenMP static), dynamic
+//! scheduling over-partitions (OpenMP dynamic); one thread takes a plain
+//! sequential loop, the oracle the determinism tests compare against.
+//! Outputs are bit-identical across thread counts, schedules and sweep
+//! modes: a worklist sweep leaves `nxt` equal to `cur` outside the list,
+//! so only the visit/skip accounting differs
+//! ([`IterStats::chunks_not_on_worklist`]).
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,6 +44,7 @@ use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{clone_state, copy_forward, state_changed_mask, Semiring, StateVecs};
 use crate::slimchunk;
+use crate::structure::SellStructure;
 use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
 use crate::tiling::{ChunkSet, ChunkTiling};
 use crate::worklist::{full_lane_mask, ActivationState};
@@ -151,6 +127,13 @@ impl BfsOptions {
         self.mask = mask;
         self
     }
+
+    /// The run-level inputs these options give [`sweep_loop`].
+    pub(crate) fn spec(&self, record: bool) -> RunSpec<'_> {
+        let (config, mask, max_iterations) =
+            (self.config, self.mask.as_deref(), self.max_iterations);
+        RunSpec { config, mask, max_iterations, record }
+    }
 }
 
 /// BFS output in original (un-permuted) vertex ids.
@@ -165,26 +148,14 @@ pub struct BfsOutput {
     pub stats: RunStats,
 }
 
-/// Per-run reusable buffers, made by [`init_run`] for the engine loop
-/// and the direction-optimized driver and threaded through every
-/// iteration so the hot loop allocates nothing proportional to the
-/// graph: the run's full-range tiling, the worklist activation
-/// machinery, the sweep's change masks and SlimChunk's per-phase
-/// buffers all persist across hops.
-pub(crate) struct EngineScratch {
-    /// The full-range tiling of the run's chunks under its schedule.
-    pub(crate) tiling: ChunkTiling,
-    /// Worklist activation machinery (stamps, worklist).
-    pub(crate) act: ActivationState,
-    /// Seeds for the next worklist: `(chunk, lane mask)` pairs for
-    /// chunks whose state changed this iteration, with the mask naming
-    /// the changed rows (the direction-optimized driver also appends
-    /// the lanes its top-down steps labeled).
-    pub(crate) pending: Vec<(u32, u32)>,
-    /// Per-position changed lane masks recorded by the current sweep.
-    pub(crate) masks: Vec<u32>,
-    /// SlimChunk's task list, offsets, skip flags and tile partials.
-    pub(crate) tasks: slimchunk::TaskBuffers,
+/// A hop distance held as `f32`, in output form: [`UNREACHABLE`] unless
+/// finite.
+pub(crate) fn hops(v: f32) -> u32 {
+    if v.is_finite() {
+        v as u32
+    } else {
+        UNREACHABLE
+    }
 }
 
 /// The BFS-SpMV engine. Stateless; methods are entry points.
@@ -211,16 +182,8 @@ impl BfsEngine {
         let s = matrix.structure();
         let perm = s.perm();
         let dist_f = S::distances(&cur, &d);
-        let dist: Vec<u32> = (0..s.n())
-            .map(|old| {
-                let v = dist_f[perm.to_new(old as VertexId) as usize];
-                if v.is_finite() {
-                    v as u32
-                } else {
-                    UNREACHABLE
-                }
-            })
-            .collect();
+        let dist = (0..s.n()).map(|old| hops(dist_f[perm.to_new(old as VertexId) as usize]));
+        let dist = dist.collect();
         let parent = S::parents(&cur).map(|p| {
             (0..s.n())
                 .map(|old| {
@@ -237,97 +200,168 @@ impl BfsEngine {
     }
 }
 
-/// The setup every engine run shares: checks `root` (range, mask
-/// layout, mask membership), initializes `cur` and `d` with `S`, tiles
-/// the chunks once for the run's full sweeps and, when the run may
-/// sweep a worklist, establishes the worklist
-/// invariant (`nxt` equals `cur` on the vectors `S` declares) and seeds
-/// the pending list with the root's lane. Returns (`cur`, `nxt`, `d`,
-/// scratch, permuted root).
-pub(crate) fn init_run<M, S, const C: usize>(
-    matrix: &M,
-    root: VertexId,
-    opts: &BfsOptions,
-) -> (StateVecs, StateVecs, Vec<f32>, EngineScratch, usize)
+/// The work one chunk reports: (progress, column steps, active cells,
+/// skipped). The run stops after a sweep in which no chunk progressed.
+pub(crate) type ChunkWork = (bool, u64, u64, usize);
+
+/// One chunk of one sweep: the only part of a kernel that [`sweep_loop`]
+/// does not own. `N` is the number of slabs a sweep writes.
+pub(crate) trait ChunkKernel<const C: usize, const N: usize>: Sync {
+    /// One buffer of the double-buffered state.
+    type State: Sync;
+    /// State a sweep writes in place (the engine's `d`), `()` for none.
+    type Kept;
+    /// Values per chunk in every slab: `C`, or `C·B` for msbfs.
+    const WIDTH: usize;
+
+    /// The run's `(cur, nxt, kept)`, seeded at the permuted `roots`.
+    /// Under a worklist, `nxt` must equal `cur` where a sweep may leave
+    /// it unwritten (the invariant of [`crate::worklist`]).
+    fn init(&self, roots: &[usize], worklist: bool) -> (Self::State, Self::State, Self::Kept);
+
+    /// The slabs a sweep writes: the next state's and the kept ones.
+    fn slabs<'a>(nxt: &'a mut Self::State, kept: &'a mut Self::Kept) -> [&'a mut [f32]; N];
+
+    /// Work done once per sweep over `set`, before its chunks run.
+    fn prepare(&mut self, _cur: &Self::State, _set: ChunkSet<'_>) {}
+
+    /// Chunk `i`, at position `pos` of the swept set: writes its `slots`
+    /// and, given `flag`, its exact bit-wise changed lane mask (0 for a
+    /// chunk that forwarded its state verbatim).
+    fn chunk(
+        &self,
+        cur: &Self::State,
+        pos: usize,
+        i: usize,
+        slots: [&mut [f32]; N],
+        flag: Option<&mut u32>,
+        depth: f32,
+    ) -> ChunkWork;
+}
+
+/// The run-level inputs of [`sweep_loop`] besides its kernel and roots.
+pub(crate) struct RunSpec<'a> {
+    pub(crate) config: SweepConfig,
+    /// The vertex mask the roots must lie in and the seed walks honor.
+    pub(crate) mask: Option<&'a VertexMask>,
+    /// Iteration cap (`n + 1` when `None`).
+    pub(crate) max_iterations: Option<usize>,
+    /// Record change masks in full-sweep runs too (see [`step`]).
+    pub(crate) record: bool,
+}
+
+/// One run's buffers, reused by every sweep so the loop allocates
+/// nothing proportional to the graph.
+pub(crate) struct RunBuffers<St, Kp> {
+    pub(crate) cur: St,
+    pub(crate) nxt: St,
+    kept: Kp,
+    tiling: ChunkTiling,
+    act: ActivationState,
+    /// Seeds of the next worklist: `(chunk, lane mask)` pairs naming the
+    /// rows that changed (the direction-optimized driver also appends
+    /// the lanes its top-down steps labeled).
+    pub(crate) pending: Vec<(u32, u32)>,
+    masks: Vec<u32>,
+}
+
+/// The setup every run shares. Checks the roots: each must be in range
+/// and, under a mask (built for `s`), inside it, because a masked root's
+/// seeded state would leak to its neighbors. Then lets the kernel seed
+/// its state, tiles the chunks once and, when the run may sweep a
+/// worklist, seeds the pending list with the roots' lanes: only the root
+/// rows differ from the rest state.
+pub(crate) fn init_run<K, const C: usize, const N: usize>(
+    s: &SellStructure<C>,
+    kernel: &K,
+    roots: &[VertexId],
+    spec: &RunSpec<'_>,
+) -> RunBuffers<K::State, K::Kept>
 where
-    M: ChunkMatrix<C>,
-    S: Semiring,
+    K: ChunkKernel<C, N>,
 {
-    let s = matrix.structure();
     let n = s.n();
-    assert!((root as usize) < n, "root {root} out of range (n = {n})");
-    let root_p = s.perm().to_new(root) as usize;
-    if let Some(m) = opts.mask.as_deref() {
+    if let Some(m) = spec.mask {
         m.check_layout(s);
-        assert!(m.contains(root_p), "root {root} is not in the resolved vertex mask");
     }
-    let np = s.n_padded();
-    let mut cur = StateVecs::new(np);
-    let mut nxt = StateVecs::new(np);
-    let mut d = vec![0.0f32; np];
-    S::init(&mut cur, &mut d, n, root_p);
-    let mut scratch = EngineScratch {
-        tiling: ChunkTiling::new(s.num_chunks(), opts.config.schedule),
-        act: ActivationState::new(),
-        pending: Vec::new(),
-        masks: Vec::new(),
-        tasks: slimchunk::TaskBuffers::default(),
-    };
-    if opts.config.sweep.uses_worklist() {
-        clone_state::<S>(&cur, &mut nxt);
-        scratch.pending.push(((root_p / C) as u32, 1u32 << (root_p % C)));
+    let roots: Vec<usize> = roots
+        .iter()
+        .map(|&root| {
+            assert!((root as usize) < n, "root {root} out of range (n = {n})");
+            let rp = s.perm().to_new(root) as usize;
+            let inside = spec.mask.is_none_or(|m| m.contains(rp));
+            assert!(inside, "root {root} is not in the resolved vertex mask");
+            rp
+        })
+        .collect();
+    let worklist = spec.config.sweep.uses_worklist();
+    let (cur, nxt, kept) = kernel.init(&roots, worklist);
+    let seeds = roots.iter().map(|&r| ((r / C) as u32, 1u32 << (r % C)));
+    let pending = if worklist { seeds.collect() } else { Vec::new() };
+    let tiling = ChunkTiling::new(s.num_chunks(), spec.config.schedule);
+    RunBuffers { cur, nxt, kept, tiling, act: ActivationState::new(), pending, masks: Vec::new() }
+}
+
+/// The one sweep loop: runs [`step`] from `roots` until a sweep makes
+/// no progress, `keep_going` (asked with the 1-based index of the sweep
+/// about to run) says stop, or the iteration cap fires. After each
+/// sweep and buffer swap, `observe` sees the new state, the sweep's
+/// harvested `(chunk, lane mask)` change list (empty unless recording)
+/// and the depth. Returns the final and kept state, the run's
+/// statistics and whether the fixpoint was reached.
+pub(crate) fn sweep_loop<K, const C: usize, const N: usize>(
+    s: &SellStructure<C>,
+    kernel: &mut K,
+    roots: &[VertexId],
+    spec: &RunSpec<'_>,
+    mut keep_going: impl FnMut(usize) -> bool,
+    mut observe: impl FnMut(&K::State, &[(u32, u32)], u32),
+) -> (K::State, K::Kept, RunStats, bool)
+where
+    K: ChunkKernel<C, N>,
+{
+    let mut run = init_run(s, kernel, roots, spec);
+    // The first sweep always runs, so a cap of 0 acts like 1.
+    let max_iters = spec.max_iterations.unwrap_or(s.n() + 1).max(1);
+    let mut stats = RunStats::default();
+    let (mut depth, mut completed) = (0u32, false);
+    while !completed && (depth as usize) < max_iters && keep_going(depth as usize + 1) {
+        depth += 1;
+        let t0 = Instant::now();
+        let mut it = step(s, kernel, &mut run, depth, spec);
+        it.elapsed = t0.elapsed();
+        stats.iters.push(it);
+        std::mem::swap(&mut run.cur, &mut run.nxt);
+        observe(&run.cur, &run.pending, depth);
+        completed = !it.changed;
     }
-    (cur, nxt, d, scratch, root_p)
+    (run.cur, run.kept, stats, completed)
 }
 
 /// The engine loop behind [`BfsEngine::run`], SSSP and the betweenness
-/// forward sweep: iterates [`step`] from `root` until no chunk changes
-/// (or the iteration cap), and returns the final state and distance
-/// vectors in permuted ids with the run's statistics.
-///
-/// `record` forces change recording in pure full-sweep runs too (runs
-/// that may sweep a worklist always record; see [`step`]). After each
-/// step, before the buffer swap, `observe` sees the next state, the
-/// step's harvested `(chunk, lane mask)` change list (empty unless
-/// recording) and the depth.
+/// forward sweep: [`sweep_loop`] from `root` with the semiring kernel,
+/// tiled when [`BfsOptions::slimchunk`] is set. Returns the final state
+/// and distance vectors in permuted ids with the run's statistics.
 pub(crate) fn run_state<M, S, const C: usize>(
     matrix: &M,
     root: VertexId,
     opts: &BfsOptions,
     record: bool,
-    mut observe: impl FnMut(&StateVecs, &[(u32, u32)], u32),
+    observe: impl FnMut(&StateVecs, &[(u32, u32)], u32),
 ) -> (StateVecs, Vec<f32>, RunStats)
 where
     M: ChunkMatrix<C>,
     S: Semiring,
 {
-    let (mut cur, mut nxt, mut d, mut scratch, _) = init_run::<M, S, C>(matrix, root, opts);
-    let record = record || opts.config.sweep.uses_worklist();
-    let mut stats = RunStats::default();
-    let max_iters = opts.max_iterations.unwrap_or(matrix.structure().n() + 1);
-    let mut depth = 0u32;
-    loop {
-        depth += 1;
-        let t0 = Instant::now();
-        let mut it = step::<M, S, C>(
-            matrix,
-            &cur,
-            &mut nxt,
-            &mut d,
-            depth as f32,
-            opts,
-            &mut scratch,
-            record,
-        );
-        it.elapsed = t0.elapsed();
-        let changed = it.changed;
-        stats.iters.push(it);
-        observe(&nxt, &scratch.pending, depth);
-        std::mem::swap(&mut cur, &mut nxt);
-        if !changed || depth as usize >= max_iters {
-            break;
+    let (s, spec) = (matrix.structure(), opts.spec(record));
+    let mut kernel = SemiringKernel::<M, S, C>::new(matrix, opts);
+    let (cur, d, stats, _) = match opts.slimchunk {
+        None => sweep_loop(s, &mut kernel, &[root], &spec, |_| true, observe),
+        Some(w) => {
+            let mut tiled = slimchunk::TiledKernel::new(kernel, w, opts.config.schedule);
+            sweep_loop(s, &mut tiled, &[root], &spec, |_| true, observe)
         }
-    }
+    };
     (cur, d, stats)
 }
 
@@ -404,10 +438,11 @@ pub(crate) fn restore_masked_lanes<const C: usize>(
     SimdF32::from_fn(|l| if allowed & (1 << l) != 0 { acc.0[l] } else { prev[l] })
 }
 
-/// One chunk of one iteration: mask/SlimWork skip tests, MV kernel,
-/// per-lane mask blend, semiring post-processing. Returns (changed,
-/// column steps, active cells, skipped) — active cells are the chunk's
-/// non-padding cells (its stored arcs), the numerator of the measured
+/// The semiring engine's kernel over the slabs `x`, `g`, `p`
+/// (double-buffered) and `d` (kept). One chunk runs the mask and
+/// SlimWork skip tests, the MV kernel, the per-lane mask blend, the
+/// semiring post-processing and, when asked, [`state_changed_mask`].
+/// Its active cells are its stored arcs, the numerator of the measured
 /// lane utilization.
 ///
 /// Masking happens at two points. A chunk with no allowed real lane is
@@ -420,137 +455,121 @@ pub(crate) fn restore_masked_lanes<const C: usize>(
 /// (x, g, p, d) bit-identical and reports it unchanged — exactly "this
 /// lane did not run", without any per-semiring masking hooks. A full
 /// mask therefore reproduces the unmasked path bit-for-bit.
-#[inline]
-fn do_chunk<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    i: usize,
-    out: (&mut [f32], &mut [f32], &mut [f32], &mut [f32]),
-    depth: f32,
-    slimwork: bool,
-    mask: Option<&VertexMask>,
-) -> (bool, u64, u64, usize)
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
+pub(crate) struct SemiringKernel<'a, M, S, const C: usize> {
+    pub(crate) matrix: &'a M,
+    pub(crate) slimwork: bool,
+    pub(crate) mask: Option<&'a VertexMask>,
+    semiring: PhantomData<fn() -> S>,
+}
+
+impl<'a, M, S, const C: usize> SemiringKernel<'a, M, S, C> {
+    pub(crate) fn new(matrix: &'a M, opts: &'a BfsOptions) -> Self {
+        let (slimwork, mask) = (opts.slimwork, opts.mask.as_deref());
+        Self { matrix, slimwork, mask, semiring: PhantomData }
+    }
+}
+
+impl<M: ChunkMatrix<C>, S: Semiring, const C: usize> ChunkKernel<C, 4>
+    for SemiringKernel<'_, M, S, C>
 {
-    let (nx, ng, np, dd) = out;
-    let base = i * C;
-    let allowed = mask.map_or_else(|| full_lane_mask(C), |m| m.allowed(i));
-    if let Some(m) = mask {
-        if m.allowed_real(i) == 0 {
-            // Fully masked (no allowed real lane): forward verbatim.
+    type State = StateVecs;
+    type Kept = Vec<f32>;
+    const WIDTH: usize = C;
+
+    fn init(&self, roots: &[usize], worklist: bool) -> (StateVecs, StateVecs, Vec<f32>) {
+        let s = self.matrix.structure();
+        let np = s.n_padded();
+        let (mut cur, mut nxt, mut d) = (StateVecs::new(np), StateVecs::new(np), vec![0.0; np]);
+        S::init(&mut cur, &mut d, s.n(), roots[0]);
+        if worklist {
+            clone_state::<S>(&cur, &mut nxt);
+        }
+        (cur, nxt, d)
+    }
+
+    fn slabs<'b>(nxt: &'b mut StateVecs, d: &'b mut Vec<f32>) -> [&'b mut [f32]; 4] {
+        [&mut nxt.x, &mut nxt.g, &mut nxt.p, d]
+    }
+
+    #[inline]
+    fn chunk(
+        &self,
+        cur: &StateVecs,
+        _: usize,
+        i: usize,
+        [nx, ng, np, dd]: [&mut [f32]; 4],
+        flag: Option<&mut u32>,
+        depth: f32,
+    ) -> ChunkWork {
+        let (matrix, mask, base) = (self.matrix, self.mask, i * C);
+        if mask.is_some_and(|m| m.allowed_real(i) == 0)
+            || (self.slimwork && S::should_skip(cur, base..base + C))
+        {
             copy_forward::<S>(cur, base, nx, ng, np);
             return (false, 0, 0, 1);
         }
+        let allowed = mask.map_or_else(|| full_lane_mask(C), |m| m.allowed(i));
+        // The unmasked arm keeps its own `chunk_mv` call: sharing one with
+        // the blend arm costs the hot loop registers.
+        let acc = if allowed == full_lane_mask(C) {
+            chunk_mv::<M, S, C>(matrix, &cur.x, i)
+        } else {
+            restore_masked_lanes(chunk_mv::<M, S, C>(matrix, &cur.x, i), &cur.x[base..], allowed)
+        };
+        let changed = S::post_chunk(acc, cur, base, nx, ng, np, dd, depth);
+        if let Some(f) = flag {
+            *f = state_changed_mask::<S, C>(cur, base, nx, ng, np);
+        }
+        let s = matrix.structure();
+        (changed, s.cl()[i] as u64, s.chunk_arcs()[i], 0)
     }
-    if slimwork && S::should_skip(cur, base..base + C) {
-        copy_forward::<S>(cur, base, nx, ng, np);
-        return (false, 0, 0, 1);
-    }
-    // The unmasked arm keeps its own `chunk_mv` call: sharing one with
-    // the blend arm costs the hot loop registers.
-    let acc = if allowed == full_lane_mask(C) {
-        chunk_mv::<M, S, C>(matrix, &cur.x, i)
-    } else {
-        restore_masked_lanes(chunk_mv::<M, S, C>(matrix, &cur.x, i), &cur.x[base..], allowed)
-    };
-    let changed = S::post_chunk(acc, cur, base, nx, ng, np, dd, depth);
-    let s = matrix.structure();
-    (changed, s.cl()[i] as u64, s.chunk_arcs()[i], 0)
 }
 
-/// One frontier expansion: the sweep-policy decision
-/// ([`resolve_sweep`] picks this iteration's [`ChunkSet`], seeding the
-/// worklist when one is due), one sweep over that set (untiled or
-/// SlimChunk) and, when `record` is set, the harvest of the sweep's
-/// change masks into the pending seed list. The shared entry point of
-/// the engine loop ([`run_state`]) and the direction-optimized driver.
+/// One sweep: the sweep-policy decision ([`resolve_sweep`] picks this
+/// iteration's [`ChunkSet`], seeding the worklist when one is due), the
+/// kernel's [`prepare`](ChunkKernel::prepare), one [`ChunkSet::sweep`]
+/// of its chunks and, when recording, the harvest of the sweep's change
+/// masks into the pending seed list. The shared entry point of
+/// [`sweep_loop`] and the direction-optimized driver's pull steps.
 ///
-/// `record` is the caller's change-tracking rule. Runs that may sweep a
-/// worklist ([`SweepMode::uses_worklist`]) record every sweep: worklist
-/// sweeps seed the next worklist from their masks, and adaptive full
-/// sweeps keep the pending list current for the next full→worklist
-/// transition (see [`crate::sweep`]). Pure full-sweep runs never pay
-/// for change detection. The betweenness forward sweep records in every
-/// mode, because the harvest is its frontier.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    nxt: &mut StateVecs,
-    d: &mut [f32],
-    depth: f32,
-    opts: &BfsOptions,
-    scratch: &mut EngineScratch,
-    record: bool,
+/// Runs that may sweep a worklist ([`SweepMode::uses_worklist`]) record
+/// every sweep: worklist sweeps seed the next worklist from their
+/// masks, and adaptive full sweeps keep the pending list current for
+/// the next full→worklist transition (see [`crate::sweep`]). Pure
+/// full-sweep runs never pay for change detection unless
+/// [`RunSpec::record`] asks: the betweenness forward sweep records in
+/// every mode, because the harvest is its frontier.
+pub(crate) fn step<K, const C: usize, const N: usize>(
+    s: &SellStructure<C>,
+    kernel: &mut K,
+    run: &mut RunBuffers<K::State, K::Kept>,
+    depth: u32,
+    spec: &RunSpec<'_>,
 ) -> IterStats
 where
-    M: ChunkMatrix<C>,
-    S: Semiring,
+    K: ChunkKernel<C, N>,
 {
-    let s = matrix.structure();
-    let EngineScratch { tiling: full, act, pending, masks, tasks } = scratch;
-    let mask = opts.mask.as_deref();
-    let (set, seeded) = resolve_sweep(opts.config.sweep, act, s.column_slab(), pending, mask);
-    let recorded = record.then_some(&mut *masks);
-    let mut it = match opts.slimchunk {
-        None => iterate::<M, S, C>(matrix, cur, nxt, d, depth, opts, set, full, recorded),
-        Some(w) => slimchunk::iterate_tiled::<M, S, C>(
-            matrix, cur, nxt, d, depth, opts, w, set, full, recorded, tasks,
-        ),
-    };
-    if record {
-        it.changed_chunks = set.harvest(masks, pending);
-    }
-    it.activations = seeded.unwrap_or(0);
-    it
-}
-
-/// One frontier expansion over `set`: the span runner. Each chunk runs
-/// [`do_chunk`] on its slots of the next state vectors and the distance
-/// vector; with `masks`, it also records the chunk's exact bit-wise
-/// changed lane mask (a skipped chunk forwarded its state verbatim, so
-/// its mask stays 0).
-#[allow(clippy::too_many_arguments)]
-fn iterate<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    nxt: &mut StateVecs,
-    d: &mut [f32],
-    depth: f32,
-    opts: &BfsOptions,
-    set: ChunkSet<'_>,
-    full: &ChunkTiling,
-    masks: Option<&mut Vec<u32>>,
-) -> IterStats
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    let (slimwork, mask) = (opts.slimwork, opts.mask.as_deref());
+    let RunBuffers { cur, nxt, kept, tiling, act, pending, masks } = run;
+    let record = spec.record || spec.config.sweep.uses_worklist();
+    let (set, seeded) = resolve_sweep(spec.config.sweep, act, s.column_slab(), pending, spec.mask);
+    kernel.prepare(cur, set);
+    let (kernel, cur) = (&*kernel, &*cur);
     let (changed, col_steps, active_cells, skipped) = set.sweep(
-        full,
-        C,
-        [&mut nxt.x[..], &mut nxt.g[..], &mut nxt.p[..], d],
-        masks,
-        |_, i, [nx, ng, np, dd], flag| {
-            let out = (&mut *nx, &mut *ng, &mut *np, dd);
-            let (c, steps, arcs, skip) =
-                do_chunk::<M, S, C>(matrix, cur, i, out, depth, slimwork, mask);
-            if let (Some(f), 0) = (flag, skip) {
-                *f = state_changed_mask::<S, C>(cur, i * C, nx, ng, np);
-            }
-            (c, steps, arcs, skip)
-        },
+        tiling,
+        K::WIDTH,
+        K::slabs(nxt, kept),
+        record.then_some(&mut *masks),
+        |pos, i, slots, flag| kernel.chunk(cur, pos, i, slots, flag, depth as f32),
         |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
     );
     IterStats {
+        activations: seeded.unwrap_or(0),
+        changed_chunks: if record { set.harvest(masks, pending) } else { 0 },
         col_steps,
-        cells: col_steps * C as u64,
+        cells: col_steps * K::WIDTH as u64,
         active_cells,
         changed,
-        ..IterStats::visited(&set, matrix.structure().num_chunks(), skipped)
+        ..IterStats::visited(&set, s.num_chunks(), skipped)
     }
 }
 

@@ -8,16 +8,24 @@
 //! component the minimum vertex label it contains; the sweep count is
 //! bounded by the largest component diameter.
 //!
-//! Unlike BFS there is no frontier, but the SlimWork idea still applies:
-//! a chunk whose labels and whose *neighbors'* labels are stable cannot
-//! change — detected here with the cheaper "nothing changed anywhere
-//! last sweep" global test.
+//! The run is the crate's one sweep loop (`bfs::sweep_loop`) with a
+//! min-label chunk kernel: this module keeps only the label init, the
+//! fold and the un-permute. Every vertex seeds its own label, so the
+//! first sweep visits every chunk; after that, worklist
+//! and adaptive sweeps revisit only chunks that gather a label that
+//! changed, and a component whose labels settled drops off the list.
+//! Runs sweep under the process-default [`SweepConfig`]
+//! (`SLIMSELL_SWEEP`); labels and iteration counts are bit-identical in
+//! every sweep mode and at any thread count.
 
-use rayon::prelude::*;
 use slimsell_graph::VertexId;
 use slimsell_simd::{SimdF32, SimdI32};
 
+use crate::bfs::{sweep_loop, ChunkKernel, ChunkWork, RunSpec};
+use crate::counters::RunStats;
 use crate::matrix::ChunkMatrix;
+use crate::semiring::lanes_ne_bits;
+use crate::sweep::SweepConfig;
 
 /// Connected-components result.
 #[derive(Clone, Debug)]
@@ -28,68 +36,95 @@ pub struct ComponentsOutput {
     pub count: usize,
     /// Propagation sweeps executed.
     pub iterations: usize,
+    /// Per-sweep statistics: sweep-mode trace, column steps, worklist
+    /// sizes, activations.
+    pub stats: RunStats,
 }
 
-/// Runs min-label propagation over the chunked structure.
+/// The min-label kernel: one flat label vector, `C` values per chunk.
+struct MinLabel<'a, M>(&'a M);
+
+impl<M: ChunkMatrix<C>, const C: usize> ChunkKernel<C, 1> for MinLabel<'_, M> {
+    type State = Vec<f32>;
+    type Kept = ();
+    const WIDTH: usize = C;
+
+    /// Labels are 1-based *original* ids so the final minimum is
+    /// meaningful before un-permutation; padding rows get +∞ (never the
+    /// minimum, never gathered).
+    fn init(&self, _: &[usize], _: bool) -> (Vec<f32>, Vec<f32>, ()) {
+        let s = self.0.structure();
+        let perm = s.perm();
+        let mut cur = vec![f32::INFINITY; s.n_padded()];
+        for (r, c) in cur.iter_mut().enumerate().take(s.n()) {
+            *c = (perm.to_old(r as VertexId) + 1) as f32;
+        }
+        (cur.clone(), cur, ())
+    }
+
+    fn slabs<'b>(nxt: &'b mut Vec<f32>, _: &'b mut ()) -> [&'b mut [f32]; 1] {
+        [nxt]
+    }
+
+    fn chunk(
+        &self,
+        cur: &Vec<f32>,
+        _: usize,
+        i: usize,
+        [out]: [&mut [f32]; 1],
+        flag: Option<&mut u32>,
+        _: f32,
+    ) -> ChunkWork {
+        let s = self.0.structure();
+        let before = SimdF32::<C>::load(&cur[i * C..]);
+        let mut acc = before;
+        let (col, mut index) = (s.col(), s.cs()[i]);
+        for _ in 0..s.cl()[i] {
+            let cols = SimdI32::<C>::load(&col[index..]);
+            acc = acc.min(SimdF32::gather_or(cur, cols, f32::INFINITY));
+            index += C;
+        }
+        acc.store(out);
+        if let Some(f) = flag {
+            *f = lanes_ne_bits::<C>(&cur[i * C..], out);
+        }
+        (acc.any_ne(before), u64::from(s.cl()[i]), s.chunk_arcs()[i], 0)
+    }
+}
+
+/// Runs min-label propagation over the chunked structure, under the
+/// process-default [`SweepConfig`].
+///
+/// # Panics
+/// Panics if `n ≥ 2^24`: labels must be exact in `f32`.
 pub fn connected_components<M, const C: usize>(matrix: &M) -> ComponentsOutput
 where
     M: ChunkMatrix<C>,
 {
     let s = matrix.structure();
     let n = s.n();
-    let np = s.n_padded();
     assert!(n < (1 << 24), "labels exceed f32 exact-integer range (n = {n})");
+    // Every vertex is the root of its own label.
+    let roots: Vec<VertexId> = (0..n as VertexId).collect();
+    let spec =
+        RunSpec { config: SweepConfig::default(), mask: None, max_iterations: None, record: false };
+    let (cur, (), stats, _) =
+        sweep_loop(s, &mut MinLabel(matrix), &roots, &spec, |_| true, |_, _, _| {});
 
-    // Labels are 1-based *original* ids so the final minimum is
-    // meaningful before un-permutation; padding rows get +∞ (never the
-    // minimum, never gathered).
     let perm = s.perm();
-    let mut cur = vec![f32::INFINITY; np];
-    for (r, c) in cur.iter_mut().enumerate().take(n) {
-        *c = (perm.to_old(r as VertexId) + 1) as f32;
-    }
-    let mut nxt = cur.clone();
-
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        let cur_ref = &cur;
-        let changed = nxt
-            .par_chunks_mut(C)
-            .enumerate()
-            .map(|(i, out)| {
-                let mut acc = SimdF32::<C>::load(&cur_ref[i * C..]);
-                let before = acc;
-                let col = s.col();
-                let mut index = s.cs()[i];
-                for _ in 0..s.cl()[i] {
-                    let cols = SimdI32::<C>::load(&col[index..]);
-                    let rhs = SimdF32::gather_or(cur_ref, cols, f32::INFINITY);
-                    acc = acc.min(rhs);
-                    index += C;
-                }
-                acc.store(out);
-                acc.any_ne(before)
-            })
-            .reduce(|| false, |a, b| a | b);
-        std::mem::swap(&mut cur, &mut nxt);
-        if !changed || iterations > n {
-            break;
-        }
-    }
-
     let label: Vec<VertexId> =
         (0..n).map(|old| cur[perm.to_new(old as VertexId) as usize] as VertexId - 1).collect();
     let mut distinct: Vec<VertexId> = label.clone();
     distinct.sort_unstable();
     distinct.dedup();
-    ComponentsOutput { label, count: distinct.len(), iterations }
+    ComponentsOutput { label, count: distinct.len(), iterations: stats.num_iterations(), stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::SlimSellMatrix;
+    use crate::sweep::SweepMode;
     use slimsell_gen::kronecker::{kronecker, KroneckerParams};
     use slimsell_graph::GraphBuilder;
 
@@ -146,7 +181,15 @@ mod tests {
         let m = SlimSellMatrix::<4>::build(&g, n);
         let out = connected_components(&m);
         assert_eq!(out.count, 1);
-        // Label 0 must walk the whole path: n-1 productive sweeps (+1).
+        // Label 0 must walk the whole path: n-1 productive sweeps (+1),
+        // in every sweep mode (CI runs each under `SLIMSELL_SWEEP`).
         assert_eq!(out.iterations, n);
+        for it in &out.stats.iters {
+            assert_eq!(it.cells, it.col_steps * 4);
+        }
+        // The settled head of the path drops off the worklist.
+        if SweepMode::env_default().uses_worklist() {
+            assert!(out.stats.total_not_on_worklist() > 0);
+        }
     }
 }

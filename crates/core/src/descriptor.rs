@@ -32,9 +32,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use slimsell_graph::{VertexId, UNREACHABLE};
+use slimsell_graph::VertexId;
 
-use crate::bfs::{init_run, step, BfsOptions, BfsOutput, Schedule};
+use crate::bfs::{hops, init_run, step, BfsOptions, BfsOutput, Schedule, SemiringKernel};
 use crate::counters::{IterStats, RunStats};
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
@@ -173,7 +173,7 @@ impl Descriptor {
 /// Push steps expand the frontier through the structure's rows (targets
 /// outside the resolved mask are never labeled); pull steps run the
 /// SpMV engine under the resolved mask. Vertices outside the mask keep
-/// [`UNREACHABLE`] distances.
+/// [`UNREACHABLE`](slimsell_graph::UNREACHABLE) distances.
 ///
 /// Panics if `root` is out of range or outside the resolved mask.
 pub fn run_descriptor<M, const C: usize>(
@@ -196,7 +196,10 @@ where
     // the worklist, nxt already equals cur. Push steps write cur in
     // place, so every lane they label goes on the pending list and the
     // next pull sweep rewrites its chunk.
-    let (mut cur, mut nxt, mut d, mut scratch, root_p) = init_run::<M, S, C>(matrix, root, &opts);
+    let spec = opts.spec(false);
+    let mut kernel = SemiringKernel::<M, S, C>::new(matrix, &opts);
+    let mut run = init_run(s, &kernel, &[root], &spec);
+    let root_p = s.perm().to_new(root) as usize;
     let track_wl = desc.config.sweep.uses_worklist();
 
     // The frontier in the worklist's seed-list format: `(chunk, lane
@@ -215,10 +218,10 @@ where
         depth += 1;
         let t0 = Instant::now();
         if let DirectionPolicy::Auto { alpha, beta } = desc.direction {
-            // The frontier's out-edges are summed only in push mode,
-            // the one place the rule reads them.
+            // The frontier's out-edges are read only in push mode, the
+            // one place the rule needs them.
             mode = match mode {
-                StepMode::TopDown if out_edges(slab, &frontier) as f64 > m2 as f64 / alpha => {
+                StepMode::TopDown if out_edges_exceed(slab, &frontier, m2 as f64 / alpha) => {
                     StepMode::BottomUp
                 }
                 StepMode::BottomUp if (vertices(&frontier) as f64) < n as f64 / beta => {
@@ -230,19 +233,16 @@ where
         modes.push(mode);
         let mut it = match mode {
             StepMode::TopDown => {
+                let x = &mut run.cur.x;
                 let scanned = match user {
-                    None => {
-                        push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |_| true)
-                    }
+                    None => push_step::<C>(slab, &frontier, &mut spare, x, depth, |_| true),
                     Some(u) => {
-                        push_step::<C>(slab, &frontier, &mut spare, &mut cur.x, depth, |w| {
-                            u.contains(w)
-                        })
+                        push_step::<C>(slab, &frontier, &mut spare, x, depth, |w| u.contains(w))
                     }
                 };
                 std::mem::swap(&mut frontier, &mut spare);
                 if track_wl {
-                    scratch.pending.extend_from_slice(&frontier);
+                    run.pending.extend_from_slice(&frontier);
                 }
                 // Not an SpMV sweep: the default Full tag with
                 // worklist_len == 0 marks it as a top-down step (see
@@ -250,19 +250,10 @@ where
                 IterStats { col_steps: scanned, cells: scanned, ..Default::default() }
             }
             StepMode::BottomUp => {
-                let mut it = step::<M, S, C>(
-                    matrix,
-                    &cur,
-                    &mut nxt,
-                    &mut d,
-                    depth as f32,
-                    &opts,
-                    &mut scratch,
-                    track_wl,
-                );
-                let harvest = track_wl.then_some(&scratch.pending[..]);
-                bottom_up_frontier::<C>(&mut it, harvest, &cur.x, &nxt.x, n, &mut frontier);
-                std::mem::swap(&mut cur, &mut nxt);
+                let mut it = step(s, &mut kernel, &mut run, depth, &spec);
+                let harvest = track_wl.then_some(&run.pending[..]);
+                bottom_up_frontier::<C>(&mut it, harvest, &run.cur.x, &run.nxt.x, n, &mut frontier);
+                std::mem::swap(&mut run.cur, &mut run.nxt);
                 it
             }
         };
@@ -272,16 +263,8 @@ where
     }
 
     let perm = s.perm();
-    let dist: Vec<u32> = (0..n)
-        .map(|old| {
-            let v = cur.x[perm.to_new(old as VertexId) as usize];
-            if v.is_finite() {
-                v as u32
-            } else {
-                UNREACHABLE
-            }
-        })
-        .collect();
+    let dist: Vec<u32> =
+        (0..n).map(|old| hops(run.cur.x[perm.to_new(old as VertexId) as usize])).collect();
     DirOptOutput { bfs: BfsOutput { dist, parent: None, stats }, modes }
 }
 
@@ -290,8 +273,20 @@ fn vertices(list: &[(u32, u32)]) -> u64 {
     list.iter().map(|&(_, lanes)| u64::from(lanes.count_ones())).sum()
 }
 
-/// The frontier's out-edge count (the α rule's input): its rows'
-/// stored columns, counted by the same walk a push step takes.
+/// The α rule: whether the frontier's out-edge count exceeds `limit`.
+/// The count is at most `Σ cl[j]·popcount(lanes)`, a bound that reads
+/// no cell, so only a frontier whose bound exceeds `limit` pays for the
+/// exact count ([`out_edges`]). The answer is the exact count's.
+fn out_edges_exceed(slab: ColumnSlab<'_>, frontier: &[(u32, u32)], limit: f64) -> bool {
+    let bound: u64 = frontier
+        .iter()
+        .map(|&(j, lanes)| u64::from(slab.cl[j as usize]) * u64::from(lanes.count_ones()))
+        .sum();
+    bound as f64 > limit && out_edges(slab, frontier) as f64 > limit
+}
+
+/// The frontier's out-edge count: its rows' stored columns, counted by
+/// the same walk a push step takes.
 fn out_edges(slab: ColumnSlab<'_>, frontier: &[(u32, u32)]) -> usize {
     let mut edges = 0;
     for &(j, lanes) in frontier {
@@ -364,7 +359,7 @@ mod tests {
     use super::*;
     use crate::matrix::SlimSellMatrix;
     use slimsell_gen::kronecker::{kronecker, KroneckerParams};
-    use slimsell_graph::{serial_bfs, GraphBuilder};
+    use slimsell_graph::{serial_bfs, GraphBuilder, UNREACHABLE};
 
     #[test]
     fn unmasked_matches_reference() {
@@ -449,6 +444,41 @@ mod tests {
         let out = run_descriptor(&slim, 0, &desc);
         assert_eq!(out.bfs.dist[..5], [0, 1, 2, 3, 4]);
         assert!(out.bfs.dist[5..].iter().all(|&d| d == UNREACHABLE));
+    }
+
+    #[test]
+    fn bounded_alpha_rule_agrees_with_the_exact_count() {
+        // Every single-vertex frontier and every BFS level's frontier of
+        // a Kronecker 2^10 graph, at the default threshold 2m/14 and at
+        // limits on both sides of the exact count.
+        let g = kronecker(10, 16.0, KroneckerParams::GRAPH500, 3);
+        let slim = SlimSellMatrix::<8>::build(&g, 1024);
+        let s = slim.structure();
+        let slab = s.column_slab();
+        let lane = |v: usize| ((v / 8) as u32, 1u32 << (v % 8));
+        let mut frontiers: Vec<Vec<(u32, u32)>> = (0..s.n()).map(|v| vec![lane(v)]).collect();
+        let root = (0..1024u32).find(|&v| g.degree(v) > 0).unwrap();
+        let dist = serial_bfs(&g, root).dist;
+        for level in 0.. {
+            let f: Vec<(u32, u32)> = (0..s.n() as u32)
+                .filter(|&v| dist[v as usize] == level)
+                .map(|v| lane(s.perm().to_new(v) as usize))
+                .collect();
+            if f.is_empty() {
+                break;
+            }
+            frontiers.push(f);
+        }
+        let threshold = s.arcs() as f64 / 14.0;
+        let mut pulls = 0;
+        for f in &frontiers {
+            let exact = out_edges(slab, f) as f64;
+            for limit in [threshold, exact - 0.5, exact, exact + 0.5] {
+                assert_eq!(out_edges_exceed(slab, f, limit), exact > limit, "limit {limit}");
+            }
+            pulls += usize::from(exact > threshold);
+        }
+        assert!(pulls > 0, "no frontier crossed 2m/14; the test is vacuous");
     }
 
     #[test]

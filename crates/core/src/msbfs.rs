@@ -16,23 +16,16 @@
 //! SIMD unit, so batching amortizes the structure traversal across
 //! sources.
 //!
-//! Like BFS/SSSP/PageRank, the sweeps ride the [`SweepMode`] substrate:
-//! full-range sweeps, frontier-proportional worklist sweeps seeded from
-//! the column slab ([`crate::worklist`]), or (the default) the
-//! adaptive gate of [`crate::sweep`]. The per-chunk change masks
-//! are per *row* lane — bit `l` set iff any of row `l`'s `B` distance
-//! lanes changed bit-wise — so the same lane-filtered dependency
-//! expansion that gates single-source sweeps gates `B`-wide sweeps: a
+//! A batch is the engine's masked sweep at a wider state: `C·B` values
+//! per chunk instead of `C`. [`multi_bfs_while`] keeps only the `B`-wide
+//! state init, the chunk kernel and the un-permute; the crate's one sweep
+//! loop (`bfs::sweep_loop`) owns the rest — root checks, the
+//! [`SweepMode`] decision, worklist seeding and harvest, statistics and
+//! the stop rules — so outputs are bit-identical at any thread count and
+//! in every sweep mode. A chunk's change mask is per *row* lane (bit `l`
+//! set iff any of row `l`'s `B` distances changed bit-wise), so a
 //! dependent chunk re-runs only when it gathers a row whose lane group
-//! changed, regardless of which of the `B` sources caused it. The
-//! SlimWork analogue (skip a chunk when all `C·B` values are finite —
-//! hop distances never improve once finite) applies in every mode.
-//!
-//! Each sweep runs tile-parallel over the
-//! [`ChunkSet`](crate::tiling::ChunkSet) the sweep policy picked (`C·B`
-//! values per chunk), writing disjoint slabs;
-//! outputs are bit-identical at any thread count and in every sweep
-//! mode.
+//! changed, whichever source caused it.
 //!
 //! [`slimsell-serve`]: https://docs.rs/slimsell-serve
 //!
@@ -52,18 +45,18 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use slimsell_graph::{VertexId, UNREACHABLE};
+use slimsell_graph::VertexId;
 use slimsell_simd::prefetch_read;
 
-use crate::counters::{IterStats, RunStats};
+use crate::bfs::{hops, sweep_loop, ChunkKernel, ChunkWork, RunSpec};
+use crate::counters::RunStats;
 use crate::mask::VertexMask;
 use crate::matrix::ChunkMatrix;
 use crate::semiring::slice_bits_differ;
-use crate::sweep::{resolve_sweep, SweepConfig, SweepMode};
-use crate::tiling::{ChunkTiling, Schedule};
-use crate::worklist::{full_lane_mask, ActivationState};
+use crate::sweep::{SweepConfig, SweepMode};
+use crate::tiling::Schedule;
+use crate::worklist::full_lane_mask;
 
 /// Multi-source BFS options: sweep strategy, scheduling and an
 /// optional vertex mask shared by all `B` traversals.
@@ -79,7 +72,8 @@ pub struct MsBfsOptions {
     pub max_iterations: Option<usize>,
     /// Optional vertex mask applied to every source lane: all `B`
     /// traversals run in the induced subgraph (every root must be
-    /// inside the mask; vertices outside stay [`UNREACHABLE`]).
+    /// inside the mask; vertices outside stay
+    /// [`UNREACHABLE`](slimsell_graph::UNREACHABLE)).
     pub mask: Option<Arc<VertexMask>>,
 }
 
@@ -135,15 +129,16 @@ pub struct MultiBfsOutput<const B: usize> {
     pub stats: RunStats,
 }
 
-/// How many column steps ahead [`ms_chunk`] prefetches its gathers —
+/// How many column steps ahead [`MsKernel`] prefetches its gathers —
 /// far enough to cover DRAM latency on the `B`-wide state, near enough
 /// that the lines are still resident when the step arrives.
 const MS_PREFETCH_STEPS: usize = 4;
 
-/// One chunk of the `B`-wide min-plus sweep: per row lane, gather the
-/// neighbors' `B`-lane distance vectors, fold `min(acc, rhs + 1)`,
-/// store the chunk's `C·B` next values into `out`. Returns (changed
-/// row-lane mask, column steps, active lane-slots, skipped).
+/// The `B`-wide min-plus kernel over one flat state, `x[v*B + b]` = the
+/// tentative distance of `v` from source `b`. Per row lane, a chunk
+/// gathers the neighbors' `B`-lane distance vectors, folds
+/// `min(acc, rhs + 1)` and stores its `C·B` next values; active cells
+/// count `B` lane-slots per stored arc.
 ///
 /// The SlimWork analogue short-circuits a chunk whose `C·B` values are
 /// all finite: hop distances never improve once finite (unlike
@@ -151,89 +146,118 @@ const MS_PREFETCH_STEPS: usize = 4;
 /// forwarded verbatim — which also keeps the worklist invariant (`nxt
 /// == cur` bit-for-bit off the worklist) intact when the chunk later
 /// leaves the list.
-#[inline]
-fn ms_chunk<M, const C: usize, const B: usize>(
-    matrix: &M,
-    cur: &[f32],
-    i: usize,
-    out: &mut [f32],
-    mask: Option<&VertexMask>,
-) -> (u32, u64, u64, usize)
-where
-    M: ChunkMatrix<C>,
+struct MsKernel<'a, M, const C: usize, const B: usize> {
+    matrix: &'a M,
+    mask: Option<&'a VertexMask>,
+}
+
+impl<M: ChunkMatrix<C>, const C: usize, const B: usize> ChunkKernel<C, 1>
+    for MsKernel<'_, M, C, B>
 {
-    let s = matrix.structure();
-    let base = i * C;
-    // A fully masked chunk is skipped exactly like a converged one:
-    // its C·B state block is forwarded verbatim.
-    if mask.is_some_and(|mk| mk.allowed_real(i) == 0)
-        || cur[base * B..(base + C) * B].iter().all(|&x| x != f32::INFINITY)
-    {
-        out.copy_from_slice(&cur[base * B..(base + C) * B]);
-        return (0, 0, 0, 1);
-    }
-    // Step-major walk: the column entries of step `k` are contiguous
-    // (`col[cs[i] + k*C ..][..C]`), so the structure streams
-    // sequentially and the gathers of a *future* step can be
-    // prefetched while the current one computes — the `B`-wide state
-    // is `B×` larger than single-source state, so these random reads
-    // are the batch kernel's latency wall. Per row the neighbor fold
-    // order is unchanged (ascending `k`), keeping outputs bit-identical
-    // to the row-major walk.
-    // The `B` source lanes of a row are contiguous, so the min-plus
-    // fold is a plain fixed-trip lane loop over `B` that the compiler
-    // vectorizes directly. (The `SimdF32` primitives are `C`-lane
-    // vectors across rows; here the vector axis is the batch.)
-    let (cs, cl, col) = (s.cs(), s.cl(), s.col());
-    let (start, steps) = (cs[i], cl[i] as usize);
-    let mut acc = [[0.0f32; B]; C];
-    for (lane, a) in acc.iter_mut().enumerate() {
-        a.copy_from_slice(&cur[(base + lane) * B..(base + lane + 1) * B]);
-    }
-    for k in 0..steps {
-        if k + MS_PREFETCH_STEPS < steps {
-            for &c in &col[start + (k + MS_PREFETCH_STEPS) * C..][..C] {
-                if c >= 0 {
-                    prefetch_read(cur, c as usize * B);
-                }
-            }
+    type State = Vec<f32>;
+    type Kept = ();
+    const WIDTH: usize = C * B;
+
+    fn init(&self, roots: &[usize], _: bool) -> (Vec<f32>, Vec<f32>, ()) {
+        let s = self.matrix.structure();
+        let mut cur = vec![f32::INFINITY; s.n_padded() * B];
+        // Virtual padding rows look finished so their chunk can be skipped.
+        cur[s.n() * B..].fill(0.0);
+        for (b, &r) in roots.iter().enumerate() {
+            cur[r * B + b] = 0.0;
         }
-        let group = &col[start + k * C..][..C];
+        (cur.clone(), cur, ())
+    }
+
+    fn slabs<'b>(nxt: &'b mut Vec<f32>, _: &'b mut ()) -> [&'b mut [f32]; 1] {
+        [nxt]
+    }
+
+    #[inline]
+    fn chunk(
+        &self,
+        cur: &Vec<f32>,
+        _: usize,
+        i: usize,
+        [out]: [&mut [f32]; 1],
+        flag: Option<&mut u32>,
+        _: f32,
+    ) -> ChunkWork {
+        let (s, mask, base) = (self.matrix.structure(), self.mask, i * C);
+        // A fully masked chunk is skipped exactly like a converged one:
+        // its C·B state block is forwarded verbatim.
+        if mask.is_some_and(|mk| mk.allowed_real(i) == 0)
+            || cur[base * B..(base + C) * B].iter().all(|&x| x != f32::INFINITY)
+        {
+            out.copy_from_slice(&cur[base * B..(base + C) * B]);
+            return (false, 0, 0, 1);
+        }
+        // Step-major walk: the column entries of step `k` are contiguous
+        // (`col[cs[i] + k*C ..][..C]`), so the structure streams
+        // sequentially and the gathers of a *future* step can be
+        // prefetched while the current one computes — the `B`-wide state
+        // is `B×` larger than single-source state, so these random reads
+        // are the batch kernel's latency wall. Per row the neighbor fold
+        // order is unchanged (ascending `k`), keeping outputs bit-identical
+        // to the row-major walk.
+        // The `B` source lanes of a row are contiguous, so the min-plus
+        // fold is a plain fixed-trip lane loop over `B` that the compiler
+        // vectorizes directly. (The `SimdF32` primitives are `C`-lane
+        // vectors across rows; here the vector axis is the batch.)
+        let (cs, cl, col) = (s.cs(), s.cl(), s.col());
+        let (start, steps) = (cs[i], cl[i] as usize);
+        let mut acc = [[0.0f32; B]; C];
         for (lane, a) in acc.iter_mut().enumerate() {
-            let c = group[lane];
-            if c >= 0 {
-                let rhs = &cur[c as usize * B..c as usize * B + B];
-                for (av, &rv) in a.iter_mut().zip(rhs) {
-                    *av = av.min(rv + 1.0);
+            a.copy_from_slice(&cur[(base + lane) * B..(base + lane + 1) * B]);
+        }
+        for k in 0..steps {
+            if k + MS_PREFETCH_STEPS < steps {
+                for &c in &col[start + (k + MS_PREFETCH_STEPS) * C..][..C] {
+                    if c >= 0 {
+                        prefetch_read(cur, c as usize * B);
+                    }
                 }
             }
-        }
-    }
-    // Under a partial mask, patch each masked-out row's B-lane group
-    // back to its previous state before the store/change test, so
-    // masked rows stay exactly at rest in every source lane.
-    if let Some(mk) = mask {
-        let allowed = mk.allowed(i);
-        if allowed != full_lane_mask(C) {
+            let group = &col[start + k * C..][..C];
             for (lane, a) in acc.iter_mut().enumerate() {
-                if allowed & (1 << lane) == 0 {
-                    a.copy_from_slice(&cur[(base + lane) * B..(base + lane + 1) * B]);
+                let c = group[lane];
+                if c >= 0 {
+                    let rhs = &cur[c as usize * B..c as usize * B + B];
+                    for (av, &rv) in a.iter_mut().zip(rhs) {
+                        *av = av.min(rv + 1.0);
+                    }
                 }
             }
         }
-    }
-    let mut changed_mask = 0u32;
-    for (lane, a) in acc.iter().enumerate() {
-        out[lane * B..(lane + 1) * B].copy_from_slice(a);
-        let r = base + lane;
-        // Exact bit-wise per-row change detection: the row's mask bit
-        // feeds the lane-filtered dependency expansion, so it must
-        // match the byte-equality contract of the determinism suite.
-        if slice_bits_differ(&cur[r * B..(r + 1) * B], &out[lane * B..(lane + 1) * B]) {
-            changed_mask |= 1 << lane;
+        // Under a partial mask, patch each masked-out row's B-lane group
+        // back to its previous state before the store/change test, so
+        // masked rows stay exactly at rest in every source lane.
+        if let Some(mk) = mask {
+            let allowed = mk.allowed(i);
+            if allowed != full_lane_mask(C) {
+                for (lane, a) in acc.iter_mut().enumerate() {
+                    if allowed & (1 << lane) == 0 {
+                        a.copy_from_slice(&cur[(base + lane) * B..(base + lane + 1) * B]);
+                    }
+                }
+            }
         }
+        let mut changed_mask = 0u32;
+        for (lane, a) in acc.iter().enumerate() {
+            out[lane * B..(lane + 1) * B].copy_from_slice(a);
+            let r = base + lane;
+            // Exact bit-wise per-row change detection: the row's mask bit
+            // feeds the lane-filtered dependency expansion, so it must
+            // match the byte-equality contract of the determinism suite.
+            if slice_bits_differ(&cur[r * B..(r + 1) * B], &out[lane * B..(lane + 1) * B]) {
+                changed_mask |= 1 << lane;
+            }
+        }
+        if let Some(f) = flag {
+            *f = changed_mask;
+        }
+        (changed_mask != 0, steps as u64, s.chunk_arcs()[i] * B as u64, 0)
     }
-    (changed_mask, steps as u64, s.chunk_arcs()[i] * B as u64, 0)
 }
 
 /// Runs `B` simultaneous BFS traversals over the Sell structure with
@@ -254,7 +278,8 @@ where
 /// Runs `B` simultaneous BFS traversals under the given sweep policy.
 ///
 /// # Panics
-/// Panics if any root is out of range.
+/// Panics if any root is out of range, if a mask was built for a
+/// different structure, or if any root is outside the mask.
 pub fn multi_bfs_with<M, const C: usize, const B: usize>(
     matrix: &M,
     roots: &[VertexId; B],
@@ -276,123 +301,31 @@ where
 /// stopped run never leaves a sweep half-executed.
 ///
 /// # Panics
-/// Panics if any root is out of range.
+/// Panics if any root is out of range, if a mask was built for a
+/// different structure, or if any root is outside the mask.
 pub fn multi_bfs_while<M, const C: usize, const B: usize>(
     matrix: &M,
     roots: &[VertexId; B],
     opts: &MsBfsOptions,
-    mut keep_going: impl FnMut(usize) -> bool,
+    keep_going: impl FnMut(usize) -> bool,
 ) -> MultiBfsOutput<B>
 where
     M: ChunkMatrix<C>,
 {
     let s = matrix.structure();
-    let n = s.n();
-    let np = s.n_padded();
     let mask = opts.mask.as_deref();
-    if let Some(mk) = mask {
-        mk.check_layout(s);
-    }
-    // x[v*B + b] = tentative distance of v from source b.
-    let mut cur = vec![f32::INFINITY; np * B];
-    // Virtual padding rows look finished so their chunk can be skipped.
-    for v in n..np {
-        cur[v * B..(v + 1) * B].fill(0.0);
-    }
-    for (b, &r) in roots.iter().enumerate() {
-        assert!((r as usize) < n, "root {r} out of range (n = {n})");
-        let rp = s.perm().to_new(r) as usize;
-        assert!(
-            mask.is_none_or(|mk| mk.contains(rp)),
-            "root {r} (source lane {b}) is not in the vertex mask"
-        );
-        cur[rp * B + b] = 0.0;
-    }
-    let mut nxt = cur.clone();
-
-    let nc = np / C;
-    let tiling = ChunkTiling::new(nc, opts.config.schedule);
-    let mut act = ActivationState::new();
-    let mut pending: Vec<(u32, u32)> = Vec::new();
-    let mut masks: Vec<u32> = Vec::new();
-    // Worklist-capable modes record every sweep's change masks: the
-    // harvest seeds the next worklist (see `crate::bfs::step`).
-    let record = opts.config.sweep.uses_worklist();
-    if record {
-        // Only the root rows differ from the all-∞ rest state, so only
-        // chunks gathering a root's row lane can produce a different
-        // output. Duplicate root chunks merge their lane masks in
-        // `ActivationState::seed`.
-        for &r in roots.iter() {
-            let rp = s.perm().to_new(r) as usize;
-            pending.push(((rp / C) as u32, 1u32 << (rp % C)));
-        }
-    }
-
-    let mut stats = RunStats::default();
-    let max_iters = opts.max_iterations.unwrap_or(n + 1);
-    let mut iterations = 0usize;
-    let mut completed = false;
-    loop {
-        if !keep_going(iterations + 1) {
-            break;
-        }
-        iterations += 1;
-        let t0 = Instant::now();
-        let (set, seeded) =
-            resolve_sweep(opts.config.sweep, &mut act, s.column_slab(), &mut pending, mask);
-        let cur_ref = &cur;
-        let (changed, col_steps, active_cells, skipped) = set.sweep(
-            &tiling,
-            C * B,
-            [&mut nxt[..]],
-            record.then_some(&mut masks),
-            |_, i, [out], flag| {
-                let (lanes, steps, arcs, skip) = ms_chunk::<M, C, B>(matrix, cur_ref, i, out, mask);
-                if let Some(f) = flag {
-                    *f = lanes;
-                }
-                (lanes != 0, steps, arcs, skip)
-            },
-            |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-        );
-        let changed_chunks = if record { set.harvest(&masks, &mut pending) } else { 0 };
-        stats.iters.push(IterStats {
-            elapsed: t0.elapsed(),
-            activations: seeded.unwrap_or(0),
-            changed_chunks,
-            col_steps,
-            cells: col_steps * (C * B) as u64,
-            active_cells,
-            changed,
-            ..IterStats::visited(&set, nc, skipped)
-        });
-        std::mem::swap(&mut cur, &mut nxt);
-        if !changed {
-            completed = true;
-            break;
-        }
-        if iterations >= max_iters {
-            break;
-        }
-    }
-
+    let spec =
+        RunSpec { config: opts.config, mask, max_iterations: opts.max_iterations, record: false };
+    let mut kernel = MsKernel::<M, C, B> { matrix, mask };
+    let (cur, (), stats, completed) =
+        sweep_loop(s, &mut kernel, roots, &spec, keep_going, |_, _, _| {});
     let perm = s.perm();
     let dist = (0..B)
         .map(|b| {
-            (0..n)
-                .map(|old| {
-                    let v = cur[perm.to_new(old as VertexId) as usize * B + b];
-                    if v.is_finite() {
-                        v as u32
-                    } else {
-                        UNREACHABLE
-                    }
-                })
-                .collect()
+            (0..s.n()).map(|v| hops(cur[perm.to_new(v as VertexId) as usize * B + b])).collect()
         })
         .collect();
-    MultiBfsOutput { dist, iterations, completed, stats }
+    MultiBfsOutput { dist, iterations: stats.num_iterations(), completed, stats }
 }
 
 #[cfg(test)]
@@ -401,7 +334,7 @@ mod tests {
     use crate::matrix::SlimSellMatrix;
     use crate::sweep::ExecutedSweep;
     use slimsell_gen::kronecker::{kronecker, KroneckerParams};
-    use slimsell_graph::{serial_bfs, GraphBuilder};
+    use slimsell_graph::{serial_bfs, GraphBuilder, UNREACHABLE};
 
     fn opts(sweep: SweepMode) -> MsBfsOptions {
         MsBfsOptions::default().sweep(sweep)
@@ -523,6 +456,23 @@ mod tests {
         let u = out.stats.lane_utilization();
         assert!(u > 0.0 && u <= 1.0, "lane utilization {u} out of range");
         assert_eq!(out.stats.total_cells(), out.stats.total_col_steps() * 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_root_panics() {
+        let g = GraphBuilder::new(4).edges([(0, 1), (1, 2), (2, 3)]).build();
+        let m = SlimSellMatrix::<4>::build(&g, 4);
+        multi_bfs::<_, 4, 2>(&m, &[0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "resolved vertex mask")]
+    fn root_outside_mask_panics() {
+        let g = GraphBuilder::new(4).edges([(0, 1), (1, 2), (2, 3)]).build();
+        let m = SlimSellMatrix::<4>::build(&g, 4);
+        let mask = Arc::new(VertexMask::from_original(m.structure(), [0u32, 1]));
+        multi_bfs_with::<_, 4, 2>(&m, &[0, 3], &MsBfsOptions::default().mask(Some(mask)));
     }
 
     #[test]

@@ -41,11 +41,10 @@
 
 use slimsell_simd::SimdF32;
 
-use crate::bfs::{fold_from, restore_masked_lanes, BfsOptions};
-use crate::counters::IterStats;
+use crate::bfs::{fold_from, restore_masked_lanes, ChunkKernel, ChunkWork, SemiringKernel};
 use crate::matrix::ChunkMatrix;
 use crate::semiring::{copy_forward, state_changed_mask, Semiring, StateVecs};
-use crate::tiling::{ChunkSet, ChunkTiling};
+use crate::tiling::{ChunkSet, ChunkTiling, Schedule};
 use crate::worklist::full_lane_mask;
 
 /// Builds the vertical tile tasks for one chunk into `tasks`.
@@ -66,14 +65,14 @@ fn phase1<M, S, const C: usize>(
     cur: &StateVecs,
     tasks: &[(usize, usize, usize)],
     partials: &mut Vec<f32>,
-    opts: &BfsOptions,
+    schedule: Schedule,
 ) where
     M: ChunkMatrix<C>,
     S: Semiring,
 {
     partials.clear();
     partials.resize(tasks.len() * C, S::OP1_IDENTITY);
-    let task_tiling = ChunkTiling::new(tasks.len(), opts.config.schedule);
+    let task_tiling = ChunkTiling::new(tasks.len(), schedule);
     let slabs = task_tiling.split(C, partials);
     task_tiling.for_each(slabs, |slab| {
         for (off, buf) in slab.data.chunks_mut(C).enumerate() {
@@ -87,49 +86,39 @@ fn phase1<M, S, const C: usize>(
     });
 }
 
-/// Phase 2 for one chunk: SlimWork carry-forward if the chunk was
-/// skipped, otherwise fold its tile partials (starting from the
-/// chunk's previous values) with `op1` and run the semiring
+/// Phase 2 for one unskipped chunk: folds its tile partials (starting
+/// from the chunk's previous values) with `op1` and runs the semiring
 /// post-processing. Under a partial vertex mask, masked-out lanes are
 /// blended back to their previous state before post-processing, so
 /// masked vertices stay exactly at rest (same contract as the untiled
-/// engine). Returns (advanced, column steps).
-#[allow(clippy::too_many_arguments)]
+/// engine). Returns whether the chunk advanced.
 #[inline]
 fn merge_chunk<S, const C: usize>(
     cur: &StateVecs,
     i: usize,
-    cl_i: u64,
-    skipped: bool,
-    tasks: std::ops::Range<usize>,
     partials: &[f32],
     out: (&mut [f32], &mut [f32], &mut [f32], &mut [f32]),
     depth: f32,
     allowed: u32,
-) -> (bool, u64)
+) -> bool
 where
     S: Semiring,
 {
     let (nx, ng, np, dd) = out;
     let base = i * C;
-    if skipped {
-        copy_forward::<S>(cur, base, nx, ng, np);
-        return (false, 0);
-    }
     let mut acc = SimdF32::<C>::load(&cur.x[base..]);
-    for t in tasks {
-        acc = S::op1(acc, SimdF32::<C>::load(&partials[t * C..]));
+    for part in partials.chunks_exact(C) {
+        acc = S::op1(acc, SimdF32::<C>::load(part));
     }
     if allowed != full_lane_mask(C) {
         acc = restore_masked_lanes(acc, &cur.x[base..], allowed);
     }
-    (S::post_chunk(acc, cur, base, nx, ng, np, dd, depth), cl_i)
+    S::post_chunk(acc, cur, base, nx, ng, np, dd, depth)
 }
 
-/// SlimChunk's per-phase buffers, owned by the run's engine scratch and
-/// reused across iterations.
+/// SlimChunk's per-phase buffers, reused across iterations.
 #[derive(Default)]
-pub(crate) struct TaskBuffers {
+struct TaskBuffers {
     /// Task list: (chunk id, first column step, last column step).
     tasks: Vec<(usize, usize, usize)>,
     /// Per-position task-range offsets (one past each set position).
@@ -140,86 +129,98 @@ pub(crate) struct TaskBuffers {
     partials: Vec<f32>,
 }
 
-/// The 2-D tiled iteration over one [`ChunkSet`] (the whole range or
-/// the worklist the policy layer seeded in [`crate::bfs::step`]): tasks
-/// are generated for the set's chunks only, phase 2 sweeps the set and,
-/// with `masks`, records each chunk's exact bit-wise changed lane mask
-/// for the harvest. One frontier expansion; all per-phase buffers live
-/// in `bufs` and are reused across iterations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn iterate_tiled<M, S, const C: usize>(
-    matrix: &M,
-    cur: &StateVecs,
-    nxt: &mut StateVecs,
-    d: &mut [f32],
-    depth: f32,
-    opts: &BfsOptions,
+/// The 2-D tiled kernel: the semiring engine's kernel with each sweep
+/// split in two. [`prepare`](ChunkKernel::prepare) generates tasks for
+/// the swept set's chunks only (the whole range or the worklist the
+/// policy layer seeded) and computes their partials (phase 1);
+/// [`chunk`](ChunkKernel::chunk) merges a chunk's partials and
+/// post-processes it (phase 2). All per-phase buffers are reused across
+/// iterations.
+pub(crate) struct TiledKernel<'a, M, S, const C: usize> {
+    engine: SemiringKernel<'a, M, S, C>,
     tile_w: usize,
-    set: ChunkSet<'_>,
-    full: &ChunkTiling,
-    masks: Option<&mut Vec<u32>>,
-    bufs: &mut TaskBuffers,
-) -> IterStats
-where
-    M: ChunkMatrix<C>,
-    S: Semiring,
-{
-    assert!(tile_w >= 1, "tile width must be at least 1");
-    let s = matrix.structure();
-    let mask = opts.mask.as_deref();
-    let TaskBuffers { tasks, task_start, skip, partials } = bufs;
+    schedule: Schedule,
+    bufs: TaskBuffers,
+}
 
-    // Task list over set positions. Fully masked chunks and SlimWork
-    // skips are applied here so skipped chunks generate no tiles at all.
-    tasks.clear();
-    task_start.clear();
-    skip.clear();
-    for pos in 0..set.len() {
-        let i = set.chunk(pos);
-        task_start.push(tasks.len());
-        let skipped = mask.is_some_and(|m| m.allowed_real(i) == 0)
-            || (opts.slimwork && S::should_skip(cur, i * C..(i + 1) * C));
-        skip.push(skipped);
-        if !skipped {
-            push_tasks(tasks, i, s.cl()[i] as usize, tile_w);
-        }
+impl<'a, M, S, const C: usize> TiledKernel<'a, M, S, C> {
+    /// Tiles `engine`'s chunks `tile_w` column steps wide, running the
+    /// tasks under `schedule`.
+    ///
+    /// # Panics
+    /// Panics if `tile_w` is 0.
+    pub(crate) fn new(
+        engine: SemiringKernel<'a, M, S, C>,
+        tile_w: usize,
+        schedule: Schedule,
+    ) -> Self {
+        assert!(tile_w >= 1, "tile width must be at least 1");
+        Self { engine, tile_w, schedule, bufs: TaskBuffers::default() }
     }
-    task_start.push(tasks.len());
-    let skipped = skip.iter().filter(|&&k| k).count();
+}
 
-    phase1::<M, S, C>(matrix, cur, tasks, partials, opts);
+impl<M: ChunkMatrix<C>, S: Semiring, const C: usize> ChunkKernel<C, 4>
+    for TiledKernel<'_, M, S, C>
+{
+    type State = StateVecs;
+    type Kept = Vec<f32>;
+    const WIDTH: usize = C;
 
-    // Phase 2: merge partials per chunk and post-process, one sweep
-    // over the set like the untiled engine.
-    let (task_start, skip, partials) = (&*task_start, &*skip, &*partials);
-    let (changed, col_steps, active_cells) = set.sweep(
-        full,
-        C,
-        [&mut nxt.x[..], &mut nxt.g[..], &mut nxt.p[..], d],
-        masks,
-        |pos, i, [nx, ng, np, dd], flag| {
-            let allowed = mask.map_or_else(|| full_lane_mask(C), |m| m.allowed(i));
-            let tasks = task_start[pos]..task_start[pos + 1];
-            let out = (&mut *nx, &mut *ng, &mut *np, dd);
-            let cl_i = s.cl()[i] as u64;
-            let (adv, steps) =
-                merge_chunk::<S, C>(cur, i, cl_i, skip[pos], tasks, partials, out, depth, allowed);
-            if skip[pos] {
-                return (adv, steps, 0);
+    fn init(&self, roots: &[usize], worklist: bool) -> (StateVecs, StateVecs, Vec<f32>) {
+        self.engine.init(roots, worklist)
+    }
+
+    fn slabs<'b>(nxt: &'b mut StateVecs, d: &'b mut Vec<f32>) -> [&'b mut [f32]; 4] {
+        SemiringKernel::<M, S, C>::slabs(nxt, d)
+    }
+
+    /// Builds the task list over set positions, then phase 1. Fully
+    /// masked chunks and SlimWork skips are applied here so skipped
+    /// chunks generate no tiles at all.
+    fn prepare(&mut self, cur: &StateVecs, set: ChunkSet<'_>) {
+        let SemiringKernel { matrix, slimwork, mask, .. } = self.engine;
+        let TaskBuffers { tasks, task_start, skip, partials } = &mut self.bufs;
+        tasks.clear();
+        task_start.clear();
+        skip.clear();
+        for pos in 0..set.len() {
+            let i = set.chunk(pos);
+            task_start.push(tasks.len());
+            let skipped = mask.is_some_and(|m| m.allowed_real(i) == 0)
+                || (slimwork && S::should_skip(cur, i * C..(i + 1) * C));
+            skip.push(skipped);
+            if !skipped {
+                push_tasks(tasks, i, matrix.structure().cl()[i] as usize, self.tile_w);
             }
-            if let Some(f) = flag {
-                *f = state_changed_mask::<S, C>(cur, i * C, nx, ng, np);
-            }
-            (adv, steps, s.chunk_arcs()[i])
-        },
-        |a, b| (a.0 | b.0, a.1 + b.1, a.2 + b.2),
-    );
-    IterStats {
-        col_steps,
-        cells: col_steps * C as u64,
-        active_cells,
-        changed,
-        ..IterStats::visited(&set, s.num_chunks(), skipped)
+        }
+        task_start.push(tasks.len());
+        phase1::<M, S, C>(matrix, cur, tasks, partials, self.schedule);
+    }
+
+    #[inline]
+    fn chunk(
+        &self,
+        cur: &StateVecs,
+        pos: usize,
+        i: usize,
+        [nx, ng, np, dd]: [&mut [f32]; 4],
+        flag: Option<&mut u32>,
+        depth: f32,
+    ) -> ChunkWork {
+        let TaskBuffers { task_start, skip, partials, .. } = &self.bufs;
+        if skip[pos] {
+            copy_forward::<S>(cur, i * C, nx, ng, np);
+            return (false, 0, 0, 1);
+        }
+        let allowed = self.engine.mask.map_or_else(|| full_lane_mask(C), |m| m.allowed(i));
+        let parts = &partials[task_start[pos] * C..task_start[pos + 1] * C];
+        let out = (&mut *nx, &mut *ng, &mut *np, dd);
+        let adv = merge_chunk::<S, C>(cur, i, parts, out, depth, allowed);
+        if let Some(f) = flag {
+            *f = state_changed_mask::<S, C>(cur, i * C, nx, ng, np);
+        }
+        let s = self.engine.matrix.structure();
+        (adv, s.cl()[i] as u64, s.chunk_arcs()[i], 0)
     }
 }
 
@@ -236,7 +237,7 @@ pub fn max_task_height<const C: usize>(cl: &[u32], tile_w: Option<usize>) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::BfsEngine;
+    use crate::bfs::{BfsEngine, BfsOptions};
     use crate::matrix::SlimSellMatrix;
     use crate::semiring::{BooleanSemiring, RealSemiring, SelMaxSemiring, TropicalSemiring};
     use slimsell_graph::{serial_bfs, GraphBuilder};

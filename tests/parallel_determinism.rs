@@ -3,7 +3,7 @@
 //! BFS engine (every semiring, with and without SlimChunk tiling, under
 //! both schedules), direction-optimized BFS, and the four secondary
 //! kernels riding the shared tiling module — PageRank, SSSP,
-//! multi-source BFS and betweenness centrality.
+//! multi-source BFS, connected components and betweenness centrality.
 //!
 //! This holds by construction: every chunk's math is independent, tiles
 //! write disjoint positional slabs, and the iteration-level reduce uses
@@ -20,8 +20,8 @@
 
 use slimsell::core::tiling::INLINE_SWEEP_CELLS;
 use slimsell::core::{
-    betweenness_from_sources_with, multi_bfs_with, BetweennessOptions, IterStats, MsBfsOptions,
-    RunStats,
+    betweenness_from_sources_with, connected_components, multi_bfs_with, BetweennessOptions,
+    IterStats, MsBfsOptions, RunStats,
 };
 use slimsell::prelude::*;
 use std::sync::Arc;
@@ -433,6 +433,32 @@ fn msbfs_bit_identical_across_thread_counts() {
                 "msbfs {sweep:?} mode trace diverged at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn components_bit_identical_across_thread_counts() {
+    // Connected components under the process-default sweep mode (CI
+    // runs every `SLIMSELL_SWEEP`): labels, count, sweep count and every
+    // per-iteration counter must equal the 1-thread run's. A sparse
+    // Erdős–Rényi graph gives many components and a multi-sweep run.
+    let g = erdos_renyi_gnp(2048, 1.5 / 2048.0, 11);
+    let m = SlimSellMatrix::<8>::build(&g, g.num_vertices());
+    let reference = with_threads(1, || connected_components(&m));
+    assert!(reference.count > 1 && reference.iterations > 2, "components case is trivial");
+    for threads in THREAD_COUNTS {
+        let out = with_threads(threads, || connected_components(&m));
+        assert_eq!(out.label, reference.label, "components labels diverged at {threads} threads");
+        assert_eq!(out.count, reference.count, "components count diverged at {threads} threads");
+        assert_eq!(
+            out.iterations, reference.iterations,
+            "components sweep count diverged at {threads} threads"
+        );
+        assert_eq!(
+            counter_trace(&out.stats),
+            counter_trace(&reference.stats),
+            "components counters diverged at {threads} threads"
+        );
     }
 }
 
